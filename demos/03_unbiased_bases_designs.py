@@ -15,9 +15,9 @@ import infodist as qd
 print("== field arithmetic behind the construction ==")
 spec = qd.find_irreducible(3, 2)
 print(f"GF(9) modulus coefficients (constant first): {spec.modulus}")
-x = spec.element([0, 1])
-print(f"x * x = {(x * x).coeffs}  (x^2 = -1 = 2 under x^2 + 1)")
-print(f"traces of all 9 elements: {[qd.field_trace(e) for e in spec.elements()]}\n")
+# element m has the base-3 digits of m as coefficients: x is element 3
+print(f"x * x = element {spec.mul[3, 3]}  (x^2 = -1 = 2 under x^2 + 1)")
+print(f"traces of all 9 elements: {spec.trace.tolist()}\n")
 
 print("== the bases and their overlaps ==")
 for (p, n) in ((3, 1), (3, 2), (5, 1), (7, 1)):

@@ -30,6 +30,7 @@ from .linalg import (
     outer,
     polar_decompose,
     validate_density,
+    validate_distribution,
     validate_pure_state,
 )
 from .measurement import (
@@ -76,24 +77,20 @@ from .information import (
     info_finite_ensemble,
     info_uniform_mc,
     jones_overlap_integral,
+    mutual_info,
     xlogx_integral,
 )
 from .galois import (
-    FieldElement,
     FieldSpec,
     MubSet,
     design_check,
     design_operator,
-    field_add,
-    field_inv,
-    field_mul,
-    field_neg,
-    field_trace,
     find_irreducible,
     is_irreducible,
     is_prime,
     mub_design_residual,
     mub_validate,
+    odd_prime_power,
     wootters_fields_mub,
 )
 from .frontier import (

@@ -22,9 +22,9 @@ import numpy as np
 from . import serialize
 from .config import DEFAULT_TOL, Tolerances
 from .disturbance import avg_fidelity_design, avg_fidelity_mc, min_disturbance_uniform
-from .errors import EvenPrimeError, InfodistError
-from .frontier import _odd_prime_power, depolarize, frontier_curve, twirl_channel, twirl_depolarizing_p
-from .galois import design_check, wootters_fields_mub
+from .errors import InfodistError
+from .frontier import depolarize, frontier_curve, twirl_channel, twirl_depolarizing_p
+from .galois import design_check, odd_prime_power, wootters_fields_mub
 from .information import info_uniform_mc
 from .measurement import POVM, povm_validate, sqrt_instrument
 
@@ -126,8 +126,8 @@ def cmd_mub(args) -> int:
     cfg = _config(args)
     try:
         mub = wootters_fields_mub(args.p, args.n, cap=args.cap)
-    except EvenPrimeError as exc:
-        raise ValidationFailure(str(exc))
+    except ValueError as exc:  # even or non-prime p, n < 1, dimension over the cap
+        raise ValidationFailure(str(exc)) from exc
     _emit(serialize.dumps(serialize.mubset_to_json(mub, p=args.p, n=args.n)), cfg.out)
     return 0
 
@@ -160,7 +160,7 @@ def cmd_disturbance(args) -> int:
     elif args.method == "mc":
         report = avg_fidelity_mc(sqrt_instrument(povm, cfg.tol), cfg.samples, np.random.default_rng(cfg.seed))
     else:
-        pp = _odd_prime_power(povm.dim)
+        pp = odd_prime_power(povm.dim)
         if pp is None:
             raise ValidationFailure(
                 f"no unbiased-bases design available in dimension {povm.dim}; use --method exact or mc"
@@ -217,7 +217,7 @@ def cmd_twirl_check(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     p_star = twirl_depolarizing_p(povm, cfg.tol)
     d = povm.dim
-    worst = 0.0
+    ratios = []
     for _ in range(args.states):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = x @ x.conj().T
@@ -225,31 +225,42 @@ def cmd_twirl_check(args) -> int:
         mean, stderr = twirl_channel(povm, rho, cfg.samples, rng, return_stderr=True, tol=cfg.tol)
         diff = mean - depolarize(rho, p_star)
         floor = 1e-12
-        ratio = max(
-            float(np.max(np.abs(diff.real) / (5 * stderr.real + floor))),
-            float(np.max(np.abs(diff.imag) / (5 * stderr.imag + floor))),
-        )
-        worst = max(worst, ratio)
+        ratios += [np.abs(diff.real) / (5 * stderr.real + floor), np.abs(diff.imag) / (5 * stderr.imag + floor)]
+    # np.max propagates NaN, and a NaN ratio fails the comparison
+    worst = float(np.max(ratios))
+    passed = worst <= 1.0
     result = {
         "p_star": p_star,
         "samples": cfg.samples,
         "states": args.states,
         "worst_ratio_of_5stderr": worst,
-        "passed": worst <= 1.0,
+        "passed": passed,
     }
     _emit(serialize.dumps(result), cfg.out)
-    if worst > 1.0:
+    if not passed:
         raise ValidationFailure(
             f"twirled channel deviates from the depolarizing form by {worst:.2f}x the 5-stderr band"
         )
     return 0
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error messages
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser, seed=True) -> None:
     if seed:
         parser.add_argument("--seed", type=int, default=None, help="RNG seed (overrides QF_SEED; default 0)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (evaluation is sequential)")
     parser.add_argument("--tol-algebraic", type=float, default=None)
     parser.add_argument("--tol-reconstruction", type=float, default=None)
     parser.add_argument("--tol-psd-slack", dest="tol_psd_slack", type=float, default=None)
@@ -278,13 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist = sub.add_parser("disturbance", help="minimal disturbance of a POVM on the uniform ensemble")
     p_dist.add_argument("--povm", required=True, help="POVM JSON file")
     p_dist.add_argument("--method", choices=("exact", "mc", "design"), default="exact")
-    p_dist.add_argument("--samples", type=int, default=100_000)
+    p_dist.add_argument("--samples", type=_at_least(2), default=100_000)
     _add_common(p_dist)
     p_dist.set_defaults(func=cmd_disturbance)
 
     p_info = sub.add_parser("info", help="outcome-state mutual information for the uniform ensemble")
     p_info.add_argument("--povm", required=True, help="POVM JSON file")
-    p_info.add_argument("--samples", type=int, default=100_000)
+    p_info.add_argument("--samples", type=_at_least(2), default=100_000)
     p_info.add_argument("--bits", action="store_true", help="report in bits instead of nats")
     _add_common(p_info)
     p_info.set_defaults(func=cmd_info)
@@ -302,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tw = sub.add_parser("twirl-check", help="verify the Haar twirl matches the depolarizing form")
     p_tw.add_argument("--povm", required=True, help="POVM JSON file")
-    p_tw.add_argument("--samples", type=int, default=10_000)
-    p_tw.add_argument("--states", type=int, default=3, help="number of random test states")
+    p_tw.add_argument("--samples", type=_at_least(2), default=10_000)
+    p_tw.add_argument("--states", type=_at_least(1), default=3, help="number of random test states")
     _add_common(p_tw)
     p_tw.set_defaults(func=cmd_twirl_check)
 
@@ -313,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DimMismatchError, NotPositiveError, WeightError
+from .errors import DimMismatchError, NotPositiveError
 from .linalg import (
     dagger,
     fidelity,
@@ -22,6 +22,7 @@ from .linalg import (
     mat_sqrt,
     outer,
     require_square,
+    validate_distribution,
 )
 from .measurement import (
     POVM,
@@ -161,9 +162,7 @@ def conditional_avg_disturbance(
     unnormalized conditional outputs. Concavity of fidelity gives D2 >= D1,
     with equality on pure-state ensembles.
     """
-    weights = np.asarray([w for _, w in ensemble], dtype=float)
-    if abs(weights.sum() - 1.0) > tol.weight or np.any(weights < 0):
-        raise WeightError(f"ensemble weights must be a distribution, got sum {weights.sum()!r}")
+    validate_distribution([w for _, w in ensemble], tol)
     f1 = 0.0
     f2 = 0.0
     for (rho, w) in ensemble:

@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import ConvergenceWarning, DimMismatchError, WeightError
-from .information import info_finegrained_exact
-from .linalg import dagger, haar_states, haar_unitaries, mat_sqrt, outer, gen_inv_sqrt
+from .disturbance import min_disturbance_uniform
+from .errors import ConvergenceWarning, DimMismatchError
+from .information import info_finegrained_exact, mutual_info
+from .linalg import dagger, haar_states, haar_unitaries, mat_sqrt, outer, gen_inv_sqrt, validate_distribution
 from .measurement import POVM, Instrument, apply_channel, basis_povm, convex_mix, sqrt_instrument
-from .galois import is_prime, wootters_fields_mub
+from .galois import odd_prime_power, wootters_fields_mub
 
 
 def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
@@ -206,25 +207,6 @@ class AccessibleInfoResult:
     n_converged: int
 
 
-def _mixed_ensemble_arrays(
-    ensemble: list[tuple[np.ndarray, float]], tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray]:
-    weights = np.asarray([w for _, w in ensemble], dtype=float)
-    if abs(weights.sum() - 1.0) > tol.weight or np.any(weights < 0):
-        raise WeightError(f"ensemble weights must be a distribution, got sum {weights.sum()!r}")
-    states = np.stack([np.asarray(r, dtype=complex) for r, _ in ensemble])
-    return states, weights
-
-
-def _mutual_info(p_cond: np.ndarray, weights: np.ndarray) -> float:
-    """I = H(C) - sum_a w_a H(C|a) from p_cond[a, c] = p(c | state a)."""
-    p_c = weights @ p_cond
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond_terms = np.where(p_cond > 0, p_cond * np.log(np.where(p_cond > 0, p_cond, 1.0)), 0.0)
-        marg_terms = np.where(p_c > 0, p_c * np.log(np.where(p_c > 0, p_c, 1.0)), 0.0)
-    return float(weights @ cond_terms.sum(axis=1) - marg_terms.sum())
-
-
 def _rank1_outcome_probs(states: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """p(c | state a) for rank-one effects |v_c><v_c|: shape (a, c)."""
     return np.clip(np.einsum("cd,ade,ce->ac", vectors.conj(), states, vectors).real, 0.0, None)
@@ -254,7 +236,8 @@ def accessible_info_lb(
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
-    states, weights = _mixed_ensemble_arrays(ensemble, tol)
+    weights = validate_distribution([w for _, w in ensemble], tol)
+    states = np.stack([np.asarray(r, dtype=complex) for r, _ in ensemble])
     dim = states.shape[1]
     if n_outcomes is None:
         n_outcomes = max(dim * (dim - 1), 1)
@@ -267,7 +250,7 @@ def accessible_info_lb(
         blocks = haar_unitaries(dim, n_unitaries, stream)
         vectors = np.concatenate([u.T for u in blocks], axis=0) / np.sqrt(n_unitaries)
         p_cond = _rank1_outcome_probs(states, vectors)
-        info = _mutual_info(p_cond, weights)
+        info = mutual_info(p_cond, weights)
         step = 1.0
         stall = 0
         converged = False
@@ -290,7 +273,7 @@ def accessible_info_lb(
                 if np.abs(resid).max() > 1e-9:
                     return None
                 p_new = _rank1_outcome_probs(states, cand)
-                return _mutual_info(p_new, weights), cand, p_new
+                return mutual_info(p_new, weights), cand, p_new
 
             # backtrack until uphill, then double greedily while still gaining
             gained = None
@@ -342,26 +325,10 @@ class FrontierPoint:
     optimizer_meta: dict = field(default_factory=dict)
 
 
-def _odd_prime_power(d: int) -> tuple[int, int] | None:
-    for p in range(3, d + 1, 2):
-        if not is_prime(p):
-            continue
-        n = 0
-        m = d
-        while m % p == 0:
-            m //= p
-            n += 1
-        if m == 1 and n >= 1:
-            return p, n
-    return None
-
-
 def line_candidate(d: int, alpha_grid: list[float], tol: Tolerances = DEFAULT_TOL) -> list[tuple[float, float]]:
     """(information, disturbance) for the do-nothing / fine-grained mixture
     {alpha I, (1-alpha) |b><b|}: the straight line between the frontier
     endpoints. Disturbance is evaluated through the mixed POVM itself."""
-    from .disturbance import min_disturbance_uniform
-
     i_max = info_finegrained_exact(d)
     trivial = POVM(d, (np.eye(d, dtype=complex),))
     basis = basis_povm(d)
@@ -404,10 +371,10 @@ def frontier_curve(
     for p in p_grid:
         if not -1e-12 <= p <= p_max + 1e-12:
             raise ValueError(f"p={p!r} outside [0, {p_max}]")
+    pp = odd_prime_power(d)
     if use_design is None:
-        use_design = _odd_prime_power(d) is not None
+        use_design = pp is not None
     if use_design:
-        pp = _odd_prime_power(d)
         if pp is None:
             raise ValueError(f"no unbiased-bases design available in dimension {d}")
         states = wootters_fields_mub(*pp).vectors()

@@ -33,278 +33,104 @@ def is_prime(p: int) -> bool:
     return True
 
 
-# -- polynomial helpers over Z_p, coefficients low to high ------------------
+def odd_prime_power(d: int) -> tuple[int, int] | None:
+    """(p, n) with d = p^n and p an odd prime, or None."""
+    for p in range(3, d + 1, 2):
+        if not is_prime(p):
+            continue
+        n = 0
+        m = d
+        while m % p == 0:
+            m //= p
+            n += 1
+        if m == 1 and n >= 1:
+            return p, n
+    return None
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+# -- GF(p^n) as integer tables -----------------------------------------------
 
 
-def _poly_mulmod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_modred(prod, modulus, p)
-
-
-def _poly_modred(a: list[int], modulus: list[int], p: int) -> list[int]:
-    a = [c % p for c in a]
-    n = len(modulus) - 1
-    for k in range(len(a) - 1, n - 1, -1):
-        c = a[k]
-        if c:
-            a[k] = 0
-            for i in range(n):
-                a[k - n + i] = (a[k - n + i] - c * modulus[i]) % p
-    return _poly_trim(a[:])
-
-
-def _poly_powmod(a: list[int], e: int, modulus: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_modred(a[:], modulus, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, modulus, p)
-        base = _poly_mulmod(base, base, modulus, p)
-        e >>= 1
-    return result
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = _poly_trim([c % p for c in a])
-    b = _poly_trim([c % p for c in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    quot = [0] * max(0, len(a) - len(b) + 1)
-    rem = a[:]
-    while len(rem) >= len(b):
-        c = (rem[-1] * inv_lead) % p
-        shift = len(rem) - len(b)
-        quot[shift] = c
-        for i, bi in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - c * bi) % p
-        rem = _poly_trim(rem)
-    return _poly_trim(quot), rem
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        _, r = _poly_divmod(a, b, p)
-        a, b = b, r
-    if a:
-        inv_lead = pow(a[-1], -1, p)
-        a = [(c * inv_lead) % p for c in a]
-    return a
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    length = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(length)]
-    return _poly_trim(out)
-
-
-def is_irreducible(modulus: list[int], p: int) -> bool:
-    """Rabin test: x^(p^n) = x mod f, and x^(p^(n/q)) - x coprime to f for
-    every prime divisor q of n."""
-    n = len(modulus) - 1
-    if n < 1 or modulus[-1] % p != 1:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    if _poly_sub(_poly_powmod(x, p**n, modulus, p), x, p):
-        return False
-    for q in _prime_divisors(n):
-        delta = _poly_sub(_poly_powmod(x, p ** (n // q), modulus, p), x, p)
-        if len(_poly_gcd(delta, list(modulus), p)) != 1:
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            while n % k == 0:
-                n //= k
-        k += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-# -- field types -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldSpec:
-    """GF(p^n) presented by a monic irreducible modulus (constant first)."""
+    """GF(p^n) presented by a monic irreducible modulus (constant first).
+
+    ``add[a, b]``, ``mul[a, b]`` and ``trace[a]`` are read-only integer
+    tables over the element indices; ``trace`` lands in the prime subfield,
+    so its entries are the integers 0..p-1. The tables are dense, (p^n)^2
+    entries each, which suits the dimensions the unbiased bases are built in.
+    """
 
     p: int
     n: int
     modulus: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.p == 2:
-            raise EvenPrimeError("characteristic two is not supported")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if len(self.modulus) != self.n + 1 or self.modulus[-1] % self.p != 1:
-            raise ValueError("modulus must be monic of degree n")
-        object.__setattr__(self, "modulus", tuple(c % self.p for c in self.modulus))
-        if not is_irreducible(list(self.modulus), self.p):
-            raise ValueError(f"modulus {self.modulus} is reducible over F_{self.p}")
+    add: np.ndarray
+    mul: np.ndarray
+    trace: np.ndarray
 
     @property
     def order(self) -> int:
         return self.p**self.n
 
-    def element(self, value) -> "FieldElement":
-        """Element from an integer index (base-p digits, constant fastest)
-        or from an explicit coefficient sequence."""
-        if isinstance(value, (int, np.integer)):
-            m = int(value) % self.order
-            coeffs = []
-            for _ in range(self.n):
-                coeffs.append(m % self.p)
-                m //= self.p
-            return FieldElement(self, tuple(coeffs))
-        coeffs = [int(c) % self.p for c in value]
-        if len(coeffs) > self.n:
-            raise ValueError(f"too many coefficients for degree {self.n}")
-        coeffs += [0] * (self.n - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
 
-    def zero(self) -> "FieldElement":
-        return self.element(0)
-
-    def one(self) -> "FieldElement":
-        return self.element(1)
-
-    def elements(self) -> list["FieldElement"]:
-        return [self.element(m) for m in range(self.order)]
+def _digits(p: int, n: int) -> np.ndarray:
+    """Coefficient vectors of all p^n elements, shape (p^n, n)."""
+    return (np.arange(p**n)[:, None] // p ** np.arange(n)) % p
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.spec != other.spec:
-            raise DimMismatchError("elements belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        prod = _poly_mulmod(list(self.coeffs), list(other.coeffs), list(self.spec.modulus), self.spec.p)
-        return self.spec.element(prod)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        out = _poly_powmod(list(self.coeffs), e, list(self.spec.modulus), self.spec.p)
-        return self.spec.element(out)
-
-    def inv(self) -> "FieldElement":
-        """Multiplicative inverse by the extended Euclidean algorithm."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        p = self.spec.p
-        modulus = list(self.spec.modulus)
-        r0, r1 = modulus, _poly_trim(list(self.coeffs))
-        s0, s1 = [0], [1]
-        while r1:
-            q, r = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            # s0 - q * s1
-            qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                for j, sj in enumerate(s1):
-                    qs[i + j] = (qs[i + j] + qi * sj) % p
-            length = max(len(s0), len(qs))
-            s_next = [((s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)) % p for i in range(length)]
-            s0, s1 = s1, _poly_trim(s_next)
-        inv_lead = pow(r0[-1], -1, p)
-        result = _poly_modred([(c * inv_lead) % p for c in s0], modulus, p)
-        return self.spec.element(result)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    @property
-    def index(self) -> int:
-        """Position in the lexicographic enumeration."""
-        return sum(c * self.spec.p**i for i, c in enumerate(self.coeffs))
+def _mul_table(modulus: list[int], p: int) -> np.ndarray:
+    """Product table of F_p[x] / (modulus) on the element indices."""
+    n = len(modulus) - 1
+    # x^k mod f for k = 0 .. 2n-2, as coefficient vectors
+    powers = [np.eye(n, dtype=np.int64)[0]]
+    for _ in range(2 * n - 2):
+        top = powers[-1][-1]
+        powers.append((np.concatenate(([0], powers[-1][:-1])) - top * np.asarray(modulus[:n])) % p)
+    powers = np.asarray(powers)
+    i = np.arange(n)
+    digits = _digits(p, n)
+    coeffs = np.einsum("ai,bj,ijk->abk", digits, digits, powers[i[:, None] + i[None, :]]) % p
+    return coeffs @ p ** np.arange(n)
 
 
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inv()
+def is_irreducible(modulus: list[int], p: int) -> bool:
+    """A monic modulus is irreducible iff F_p[x] / (modulus) has no zero
+    divisors, i.e. no zero off the zero row and column of its product table."""
+    n = len(modulus) - 1
+    if n < 1 or modulus[-1] % p != 1:
+        return False
+    return n == 1 or bool((_mul_table(modulus, p)[1:, 1:] != 0).all())
 
 
 def find_irreducible(p: int, n: int) -> FieldSpec:
     """First monic degree-n irreducible in lexicographic coefficient order
-    (constant coefficient varying fastest). Deterministic."""
+    (constant coefficient varying fastest), with its field tables.
+    Deterministic."""
     if p == 2:
         raise EvenPrimeError("characteristic two is not supported")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    for m in range(p**n):
-        coeffs = []
-        mm = m
-        for _ in range(n):
-            coeffs.append(mm % p)
-            mm //= p
-        candidate = coeffs + [1]
-        if is_irreducible(candidate, p):
-            return FieldSpec(p, n, tuple(candidate))
-    raise RuntimeError("unreachable: an irreducible polynomial always exists")
-
-
-def field_trace(x: FieldElement) -> int:
-    """Tr(x) = x + x^p + ... + x^(p^(n-1)), landing in the prime subfield."""
-    spec = x.spec
-    acc = x
-    power = x
-    for _ in range(spec.n - 1):
-        power = power**spec.p
-        acc = acc + power
-    if any(c != 0 for c in acc.coeffs[1:]):
-        raise RuntimeError(f"trace left the prime subfield (bad modulus?): {acc.coeffs}")
-    return acc.coeffs[0]
+    if n < 1:
+        raise ValueError(f"extension degree must be at least 1, got {n}")
+    digits = _digits(p, n)
+    # irreducibles of every degree exist, so the search always stops
+    modulus = next(m for m in (c + [1] for c in digits.tolist()) if is_irreducible(m, p))
+    mul = _mul_table(modulus, p)
+    add = ((digits[:, None, :] + digits[None, :, :]) % p) @ p ** np.arange(n)
+    # Tr(a) = a + a^p + ... + a^(p^(n-1)), by Frobenius lookups
+    elements = np.arange(p**n)
+    frobenius = elements
+    for _ in range(p - 1):
+        frobenius = mul[frobenius, elements]
+    trace = conj = elements
+    for _ in range(n - 1):
+        conj = frobenius[conj]
+        trace = add[trace, conj]
+    if (trace >= p).any():
+        raise RuntimeError(f"trace left the prime subfield (bad modulus?): {modulus}")
+    for table in (add, mul, trace):
+        table.flags.writeable = False
+    return FieldSpec(p, n, tuple(modulus), add, mul, trace)
 
 
 # -- mutually unbiased bases -------------------------------------------------
@@ -327,22 +153,8 @@ class MubSet:
 def _trace_tables(p: int, n: int) -> tuple[FieldSpec, np.ndarray, np.ndarray]:
     """Integer tables S[k,l] = Tr(k l^2) and T[j,l] = Tr(j l)."""
     spec = find_irreducible(p, n)
-    els = spec.elements()
-    d = spec.order
-    # trace is F_p-linear; cache it on the monomial basis
-    mono = [field_trace(spec.element([0] * i + [1])) for i in range(n)]
-
-    def tr_of(e: FieldElement) -> int:
-        return sum(c * t for c, t in zip(e.coeffs, mono)) % p
-
-    squares = [e * e for e in els]
-    s_table = np.zeros((d, d), dtype=np.int64)
-    t_table = np.zeros((d, d), dtype=np.int64)
-    for a in range(d):
-        for b in range(d):
-            s_table[a, b] = tr_of(els[a] * squares[b])
-            t_table[a, b] = tr_of(els[a] * els[b])
-    return spec, s_table, t_table
+    squares = spec.mul.diagonal()
+    return spec, spec.trace[spec.mul[:, squares]], spec.trace[spec.mul]
 
 
 def wootters_fields_mub(p: int, n: int, cap: int = 49) -> MubSet:

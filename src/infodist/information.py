@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DimMismatchError, WeightError
-from .linalg import haar_states
+from .errors import DimMismatchError
+from .linalg import haar_states, validate_distribution
 from .measurement import POVM
 
 LN2 = float(np.log(2.0))
@@ -78,9 +78,13 @@ def xlogx_integral(d: int) -> float:
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
     """Shannon entropy (nats) of each row, with 0 log 0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
     return -terms.sum(axis=-1)
+
+
+def mutual_info(p_cond: np.ndarray, weights: np.ndarray) -> float:
+    """I = H(C) - sum_a w_a H(C|a) from p_cond[a, c] = p(c | state a)."""
+    return float(_entropy_rows(weights @ p_cond) - weights @ _entropy_rows(p_cond))
 
 
 def _outcome_probabilities(povm: POVM, states: np.ndarray) -> np.ndarray:
@@ -120,12 +124,9 @@ def info_finite_ensemble(
     tol: Tolerances = DEFAULT_TOL,
 ) -> InfoReport:
     """Exact mutual information for a discrete pure-state ensemble."""
-    weights = np.asarray([w for _, w in ensemble], dtype=float)
-    if abs(weights.sum() - 1.0) > tol.weight or np.any(weights < 0):
-        raise WeightError(f"ensemble weights must be a distribution, got sum {weights.sum()!r}")
+    weights = validate_distribution([w for _, w in ensemble], tol)
     states = np.stack([np.asarray(psi, dtype=complex) for psi, _ in ensemble])
     cond = _outcome_probabilities(povm, states)
-    p_b = weights @ cond
-    h_b = float(_entropy_rows(p_b[None, :])[0])
+    h_b = float(_entropy_rows(weights @ cond))
     h_cond = float(weights @ _entropy_rows(cond))
-    return InfoReport(h_b - h_cond, h_b, h_cond, "finite-ensemble")
+    return InfoReport(mutual_info(cond, weights), h_b, h_cond, "finite-ensemble")

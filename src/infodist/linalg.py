@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DimMismatchError, NonHermitianError, NonSquareError, NotPositiveError
+from .errors import DimMismatchError, NonHermitianError, NonSquareError, NotPositiveError, WeightError
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -180,3 +180,12 @@ def validate_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > tol.psd_slack:
         raise NotPositiveError(f"density operator has trace {tr!r}")
+
+
+def validate_distribution(weights, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The weights as a float array, if they are nonnegative and sum to one
+    within ``tol.weight``; WeightError otherwise."""
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < 0) or abs(w.sum() - 1.0) > tol.weight:
+        raise WeightError(f"weights must be nonnegative and sum to 1, got sum {float(w.sum())!r}")
+    return w

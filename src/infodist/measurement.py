@@ -21,7 +21,7 @@ from .errors import (
     NotOrthogonalError,
     WeightError,
 )
-from .linalg import dagger, gen_inv_sqrt, herm_eig, mat_sqrt, require_square
+from .linalg import dagger, gen_inv_sqrt, herm_eig, mat_sqrt, require_square, validate_distribution
 
 
 @dataclass(frozen=True)
@@ -208,9 +208,7 @@ def convex_mix(
     """
     if len(procedures) != len(weights):
         raise WeightError("need one weight per procedure")
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or abs(w.sum() - 1.0) > tol.weight:
-        raise WeightError(f"weights must be nonnegative and sum to 1, got sum {w.sum()!r}")
+    w = validate_distribution(weights, tol)
     dim = procedures[0][0].dim
     effects, labels, branches = [], [], []
     for i, (povm, inst) in enumerate(procedures):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import infodist as qd
-from infodist import serialize
+from infodist import cli, serialize
 from infodist.cli import main
 
 
@@ -29,6 +29,21 @@ def test_mub_writes_bases(tmp_path, capsys):
 def test_mub_rejects_even_prime(capsys):
     assert main(["mub", "--p", "2"]) == 1
     assert "even prime unsupported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--p", "9"], "9 is not prime"),
+        (["--p", "1"], "1 is not prime"),
+        (["--p", "11", "--n", "2"], "exceeds the configured cap"),
+        (["--p", "3", "--n", "0"], "extension degree must be at least 1"),
+    ],
+)
+def test_mub_bad_input_one_line_message(argv, message, capsys):
+    assert main(["mub", *argv]) in (1, 2)
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_design_check_pass_and_fail(tmp_path, capsys):
@@ -153,10 +168,33 @@ def test_twirl_check(qubit_basis_file, capsys):
     assert report["p_star"] == pytest.approx(2 / 3, abs=1e-12)
 
 
+@pytest.mark.parametrize("command", ["twirl-check", "info", "disturbance"])
+@pytest.mark.parametrize("samples", ["1", "0", "-5"])
+def test_samples_below_two_exit_2(command, samples, qubit_basis_file, capsys):
+    # a standard error needs two samples; one sample once passed twirl-check on a NaN
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--povm", qubit_basis_file, "--samples", samples])
+    assert exc.value.code == 2
+    assert "--samples: must be at least 2" in capsys.readouterr().err
+
+
+def test_twirl_check_nan_ratio_fails(qubit_basis_file, capsys, monkeypatch):
+    def nan_stderr(povm, rho, n_samples, rng, return_stderr=False, tol=None):
+        return rho, np.full(rho.shape, complex(np.nan, np.nan))
+
+    monkeypatch.setattr(cli, "twirl_channel", nan_stderr)
+    assert main(["twirl-check", "--povm", qubit_basis_file]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False and np.isnan(report["worst_ratio_of_5stderr"])
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["disturbance"])  # missing --povm
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["mub", "--p", "3", "--threads", "2"])  # the no-op option is gone
     assert exc.value.code == 2

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,28 @@ from infodist.galois import _trace_tables
 
 
 def test_find_irreducible_known_moduli():
-    assert qd.find_irreducible(3, 1).modulus == (0, 1)
     # -1 is a quadratic non-residue mod 3
     assert qd.find_irreducible(3, 2).modulus == (1, 0, 1)
     # squares mod 5 are {1, 4}; first irreducible is x^2 + 2
     assert qd.find_irreducible(5, 2).modulus == (2, 0, 1)
-    assert qd.find_irreducible(3, 3).modulus[-1] == 1
+    # the rest of the odd prime powers <= 125, first in lexicographic order
+    pinned = {(3, 3): (1, 2, 0, 1), (7, 2): (1, 0, 1), (3, 4): (2, 1, 0, 0, 1), (11, 2): (1, 0, 1), (5, 3): (1, 1, 0, 1)}
+    for (p, n), modulus in pinned.items():
+        assert qd.find_irreducible(p, n).modulus == modulus
+    for p in range(3, 126, 2):
+        if qd.is_prime(p):
+            assert qd.find_irreducible(p, 1).modulus == (0, 1)
+
+
+def test_is_irreducible_matches_root_test():
+    # a monic polynomial of degree 2 or 3 is irreducible iff it has no root
+    for p, n in ((3, 2), (3, 3), (5, 2), (5, 3), (7, 2)):
+        for m in range(p**n):
+            modulus = [(m // p**i) % p for i in range(n)] + [1]
+            has_root = any(sum(c * x**i for i, c in enumerate(modulus)) % p == 0 for x in range(p))
+            assert qd.is_irreducible(modulus, p) == (not has_root)
+    assert not qd.is_irreducible([1, 0, 2], 3)  # not monic
+    assert not qd.is_irreducible([1], 3)  # degree zero
 
 
 def test_find_irreducible_rejects():
@@ -20,50 +38,91 @@ def test_find_irreducible_rejects():
         qd.find_irreducible(2, 3)
     with pytest.raises(ValueError):
         qd.find_irreducible(9, 1)
+    with pytest.raises(ValueError):
+        qd.find_irreducible(3, 0)
+
+
+def _negation(spec):
+    # from the coefficient digits, independently of the tables
+    idx = np.arange(spec.order)
+    return sum(((-(idx // spec.p**i)) % spec.p) * spec.p**i for i in range(spec.n))
 
 
 def test_field_ring_axioms_gf9():
     spec = qd.find_irreducible(3, 2)
-    els = spec.elements()
-    assert len(els) == 9
-    zero, one = spec.zero(), spec.one()
-    for a in els:
-        assert (a + zero).coeffs == a.coeffs
-        assert (a * one).coeffs == a.coeffs
-        assert (a + (-a)).coeffs == zero.coeffs
-    # multiplication reduces x * x = -1 = 2 for modulus x^2 + 1
-    x = spec.element([0, 1])
-    assert (x * x).coeffs == (2, 0)
+    els = np.arange(spec.order)
+    assert spec.order == 9
+    assert spec.add.shape == spec.mul.shape == (9, 9) and spec.trace.shape == (9,)
+    assert (spec.add[:, 0] == els).all() and (spec.add[0, :] == els).all()
+    assert (spec.mul[:, 1] == els).all() and (spec.mul[1, :] == els).all()
+    assert (spec.mul[:, 0] == 0).all()
+    assert (spec.add[els, _negation(spec)] == 0).all()
+    assert (spec.add == spec.add.T).all() and (spec.mul == spec.mul.T).all()
+    # multiplication reduces x * x = -1 = 2 for modulus x^2 + 1 (x is element 3)
+    assert spec.mul[3, 3] == 2
 
 
 def test_field_inverses_exhaustive_gf9():
     spec = qd.find_irreducible(3, 2)
-    for a in spec.elements():
-        if a.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                a.inv()
-        else:
-            assert (a * a.inv()).coeffs == (1, 0)
+    # every nonzero row of the product table is a permutation: inverses exist
+    for a in range(1, spec.order):
+        assert sorted(spec.mul[a].tolist()) == list(range(spec.order))
+    assert (spec.mul[0] == 0).all()
 
 
-def test_field_distributivity_random():
-    rng = np.random.default_rng(60)
+def test_field_distributivity_exhaustive_gf25():
     spec = qd.find_irreducible(5, 2)
-    for _ in range(50):
-        a, b, c = (spec.element(int(rng.integers(25))) for _ in range(3))
-        assert (a * (b + c)).coeffs == (a * b + a * c).coeffs
+    lhs = spec.mul[:, spec.add]  # a * (b + c)
+    rhs = spec.add[spec.mul[:, :, None], spec.mul[:, None, :]]  # a*b + a*c
+    assert lhs.shape == (25, 25, 25)
+    assert (lhs == rhs).all()
+    # associativity of the product, exhaustively
+    assert (spec.mul[spec.mul] == spec.mul[:, spec.mul]).all()
 
 
 def test_field_trace():
     spec = qd.find_irreducible(3, 2)
-    assert qd.field_trace(spec.zero()) == 0
+    assert spec.trace[0] == 0
     # constants c satisfy c^3 = c in GF(9): trace is 2c mod 3
     for c in range(3):
-        assert qd.field_trace(spec.element([c, 0])) == (2 * c) % 3
+        assert spec.trace[c] == (2 * c) % 3
+    # Tr(x) = x + x^3 = x - x = 0 under x^2 + 1
+    assert spec.trace[3] == 0
     # additivity over all 81 pairs
-    for a in spec.elements():
-        for b in spec.elements():
-            assert qd.field_trace(a + b) == (qd.field_trace(a) + qd.field_trace(b)) % 3
+    tr = spec.trace
+    assert (tr[spec.add] == (tr[:, None] + tr[None, :]) % 3).all()
+    # every value of the prime field is taken equally often
+    assert np.bincount(tr).tolist() == [3, 3, 3]
+
+
+def test_field_tables_are_read_only():
+    spec = qd.find_irreducible(5, 1)
+    for table in (spec.add, spec.mul, spec.trace):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+@pytest.mark.parametrize(
+    "p,n,digest",
+    [
+        (3, 2, "8d748feacd28696bed7dbc4d416f8691ed6853f5102eee3d5aa274fd79ae1698"),
+        (5, 2, "3b66f73589283afa0e1365b539805901541e8a0f50969310974f2fca8ff5035b"),
+        (3, 3, "e6008ddb6da003b5d5e53d3e70fd0f99dd84b89ad7bed8efe1ca8b0dc440e658"),
+        (7, 2, "20860dcd015e7f016e6fd99e28083a70a30b2164d2fb0eb792c6a34a49664c79"),
+    ],
+)
+def test_trace_tables_pinned(p, n, digest):
+    # S[k,l] = Tr(k l^2) and T[j,l] = Tr(j l) fix the unbiased-bases layout
+    _, s, t = _trace_tables(p, n)
+    assert hashlib.sha256(s.astype("<i8").tobytes() + t.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def test_odd_prime_power():
+    assert qd.odd_prime_power(49) == (7, 2)
+    assert qd.odd_prime_power(27) == (3, 3)
+    assert qd.odd_prime_power(3) == (3, 1)
+    for d in (1, 2, 4, 6, 12, 15):
+        assert qd.odd_prime_power(d) is None
 
 
 def test_gauss_sum_identity():
