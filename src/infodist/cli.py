@@ -147,8 +147,8 @@ def cmd_design_check(args) -> int:
         raise UsageError(f"{args.infile} does not encode bases: {exc}") from exc
     deviation = design_check(vectors, args.trials, np.random.default_rng(cfg.seed))
     print(f"max deviation over {args.trials} random degree-2 functionals: {deviation:.17g}")
-    if deviation >= 1e-10:
-        raise ValidationFailure(f"vectors are not a 2-design (deviation {deviation:.3e} >= 1e-10)")
+    if not deviation < cfg.tol.algebraic:  # a NaN deviation fails too
+        raise ValidationFailure(f"vectors are not a 2-design (deviation {deviation:.3e} >= {cfg.tol.algebraic:.0e})")
     return 0
 
 
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dc = sub.add_parser("design-check", help="test a set of bases for the 2-design property")
     p_dc.add_argument("--in", dest="infile", required=True, help="bases JSON (as written by mub)")
-    p_dc.add_argument("--trials", type=int, default=100)
+    p_dc.add_argument("--trials", type=_at_least(1), default=100)
     _add_common(p_dc)
     p_dc.set_defaults(func=cmd_design_check)
 
@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fr = sub.add_parser("frontier", help="information-disturbance frontier lower bound")
     p_fr.add_argument("--d", type=int, required=True)
     p_fr.add_argument("--grid", type=int, default=11, help="number of p values on [0, d/(d+1)]")
-    p_fr.add_argument("--samples", type=int, default=200, help="ensemble discretization size")
-    p_fr.add_argument("--restarts", type=int, default=16)
+    p_fr.add_argument("--samples", type=_at_least(1), default=200, help="ensemble discretization size")
+    p_fr.add_argument("--restarts", type=_at_least(1), default=16)
     p_fr.add_argument("--max-iter", dest="max_iter", type=int, default=500)
     p_fr.add_argument("--json", default=None, help="also write the JSON variant with optimizer metadata")
     p_fr.add_argument("--allow-nonconverged", action="store_true")

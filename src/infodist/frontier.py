@@ -207,9 +207,20 @@ class AccessibleInfoResult:
     n_converged: int
 
 
-def _rank1_outcome_probs(states: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """p(c | state a) for rank-one effects |v_c><v_c|: shape (a, c)."""
-    return np.clip(np.einsum("cd,ade,ce->ac", vectors.conj(), states, vectors).real, 0.0, None)
+def _state_factors(states: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int]:
+    """Rows k_j, shape (a*r, dim), with rho_a = sum_j k_j k_j† over its r rows: the top r
+    eigencolumns times root eigenvalues, r the largest rank (support cutoff as in gen_inv_sqrt)."""
+    w, v = np.linalg.eigh(states)
+    w = np.where(w > np.maximum(states.shape[1] * w[:, -1:] * tol.support_rel, 0.0), w, 0.0)
+    r = max(int((w > 0).sum(axis=1).max()), 1)
+    factors = v[:, :, -r:] * np.sqrt(w[:, None, -r:])
+    return factors.transpose(0, 2, 1).reshape(-1, states.shape[1]), r
+
+
+def _rank1_outcome_probs(rows: np.ndarray, r: int, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(c | state a) = sum_j |k_j† v_c|^2 for effects |v_c><v_c|, shape (a, c), and amplitudes k_j† v_c."""
+    amp = rows.conj() @ vectors.T
+    return (amp.real**2 + amp.imag**2).reshape(-1, r, len(vectors)).sum(axis=1), amp
 
 
 def accessible_info_lb(
@@ -239,6 +250,7 @@ def accessible_info_lb(
     weights = validate_distribution([w for _, w in ensemble], tol)
     states = np.stack([np.asarray(r, dtype=complex) for r, _ in ensemble])
     dim = states.shape[1]
+    rows, rank = _state_factors(states, tol)
     if n_outcomes is None:
         n_outcomes = max(dim * (dim - 1), 1)
     n_unitaries = -(-n_outcomes // dim)  # ceil; columns come in blocks of dim
@@ -249,7 +261,7 @@ def accessible_info_lb(
     for stream in rng.spawn(restarts):
         blocks = haar_unitaries(dim, n_unitaries, stream)
         vectors = np.concatenate([u.T for u in blocks], axis=0) / np.sqrt(n_unitaries)
-        p_cond = _rank1_outcome_probs(states, vectors)
+        p_cond, amp = _rank1_outcome_probs(rows, rank, vectors)
         info = mutual_info(p_cond, weights)
         step = 1.0
         stall = 0
@@ -258,22 +270,22 @@ def accessible_info_lb(
         for iterations in range(1, max_iter + 1):
             p_c = weights @ p_cond
             log_ratio = np.log(np.maximum(p_cond, 1e-300)) - np.log(np.maximum(p_c, 1e-300))
-            rho_v = np.einsum("ade,ce->acd", states, vectors)
-            push = np.einsum("ac,acd->cd", weights[:, None] * log_ratio, rho_v)
+            # R_c v_c = sum_a w_a ln(p(c|a)/p(c)) sum_j k_j (k_j† v_c)
+            push = (np.repeat(weights[:, None] * log_ratio, rank, axis=0) * amp).T @ rows
             scale = np.abs(push).max()
             if scale > 0:
                 push = push / scale
 
             def try_step(t: float):
                 moved = vectors + t * push
-                total = np.einsum("cd,ce->de", moved, moved.conj())
+                total = moved.T @ moved.conj()
                 s_root = gen_inv_sqrt((total + dagger(total)) / 2, tol)
                 cand = moved @ s_root.T
-                resid = np.einsum("cd,ce->de", cand, cand.conj()) - eye
-                if np.abs(resid).max() > 1e-9:
+                resid = cand.T @ cand.conj() - eye
+                if np.abs(resid).max() > tol.reconstruction:
                     return None
-                p_new = _rank1_outcome_probs(states, cand)
-                return mutual_info(p_new, weights), cand, p_new
+                p_new, amp_new = _rank1_outcome_probs(rows, rank, cand)
+                return mutual_info(p_new, weights), cand, p_new, amp_new
 
             # backtrack until uphill, then double greedily while still gaining
             gained = None
@@ -294,7 +306,7 @@ def accessible_info_lb(
                     t_try *= 2
                     gained = trial
                 improvement = gained[0] - info
-                info, vectors, p_cond = gained
+                info, vectors, p_cond, amp = gained
                 step = min(t_try * 1.3, 32.0)
                 stall = stall + 1 if improvement < improve_tol else 0
             else:

@@ -39,11 +39,10 @@ def herm_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, 
     if asym > tol.herm_gate:
         raise NonHermitianError(f"matrix is not Hermitian: max |H - H^dag| = {asym:.3e}")
     w, v = np.linalg.eigh((h + dagger(h)) / 2)
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        lead = col[np.argmax(np.abs(col))]
-        if abs(lead) > 0:
-            v[:, k] = col * (abs(lead) / lead)
+    if v.size:
+        lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        mag = np.hypot(lead.real, lead.imag)  # bit-equal to abs() of one entry; np.abs is not
+        v *= np.where(mag > 0, mag, 1.0) / np.where(mag > 0, lead, 1.0)
     return w, v
 
 
@@ -137,20 +136,18 @@ def haar_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """A Haar-distributed unitary.
-
-    QR of a complex Ginibre matrix, with the columns rephased by the
-    diagonal of R; without that correction QR output is not Haar.
-    """
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    """A Haar-distributed unitary."""
+    return haar_unitaries(d, 1, rng)[0]
 
 
 def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` independent Haar unitaries, shape (n, d, d)."""
-    return np.stack([haar_unitary(d, rng) for _ in range(n)])
+    """``n`` independent Haar unitaries, shape (n, d, d): QR of complex Ginibre
+    matrices (each draws its real, then its imaginary part), with the columns
+    rephased by the diagonal of R; without that correction QR is not Haar."""
+    g = rng.standard_normal((n, 2, d, d))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def outer(psi: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:

@@ -62,6 +62,25 @@ def test_design_check_pass_and_fail(tmp_path, capsys):
     assert main(["design-check", "--in", missing, "--trials", "5"]) == 2
 
 
+def test_design_check_zero_trials_exit_2(tmp_path, capsys):
+    # zero trials once reported deviation 0 and passed any file
+    single = tmp_path / "single.json"
+    single.write_text(serialize.dumps([serialize.matrix_to_json(np.eye(2))]))
+    with pytest.raises(SystemExit) as exc:
+        main(["design-check", "--in", str(single), "--trials", "0"])
+    assert exc.value.code == 2
+    assert "--trials: must be at least 1" in capsys.readouterr().err
+
+
+def test_design_check_nan_deviation_fails(tmp_path, capsys, monkeypatch):
+    mub = tmp_path / "mub3.json"
+    assert main(["mub", "--p", "3", "--out", str(mub)]) == 0
+    monkeypatch.setattr(cli, "design_check", lambda vectors, trials, rng: float("nan"))
+    assert main(["design-check", "--in", str(mub)]) == 1
+    captured = capsys.readouterr()
+    assert "nan" in captured.out and "not a 2-design" in captured.err
+
+
 def test_disturbance_methods(qubit_basis_file, capsys):
     assert main(["disturbance", "--povm", qubit_basis_file, "--method", "exact"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -159,6 +178,17 @@ def test_frontier_nonconverged_soft_failure(tmp_path):
         "--max-iter", "5", "--seed", "0", "--out", str(tmp_path / "c.csv"),
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("option", ["--restarts", "--samples"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_frontier_empty_budget_exit_2(option, value, capsys):
+    # --restarts 0 once ended in a TypeError traceback, --samples 0 in a "weights" error
+    with pytest.raises(SystemExit) as exc:
+        main(["frontier", "--d", "2", "--grid", "2", option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{option}: must be at least 1" in err and "Traceback" not in err
 
 
 def test_twirl_check(qubit_basis_file, capsys):

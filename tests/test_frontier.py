@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import infodist as qd
+from infodist.config import DEFAULT_TOL
 from infodist.errors import ConvergenceWarning
+from infodist.frontier import _rank1_outcome_probs, _state_factors
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
@@ -147,6 +149,51 @@ def test_accessible_info_more_restarts_never_worse():
         few = qd.accessible_info_lb(ens, restarts=2, max_iter=60, rng=np.random.default_rng(5))
         many = qd.accessible_info_lb(ens, restarts=6, max_iter=60, rng=np.random.default_rng(5))
     assert many.info >= few.info - 1e-12
+
+
+KERNEL_CASES = [(d, p) for d in (2, 3) for p in (0.25, 0.5, d / (d + 1))] + [(2, None), (3, None)]
+
+
+@pytest.mark.parametrize("d,p", KERNEL_CASES)
+def test_factored_kernels_match_dense_reference(d, p):
+    # p=None: a rank-one ensemble of pure states; otherwise rank-d environment states
+    rng = np.random.default_rng(83)
+    psis = qd.haar_states(d, 25, rng)
+    if p is None:
+        states, rank = np.stack([qd.outer(psi) for psi in psis]), 1
+    else:
+        states, rank = np.stack([qd.environment_state(psi, p) for psi in psis]), d
+    dim = states.shape[1]
+    rows, r = _state_factors(states, DEFAULT_TOL)
+    assert r == rank and rows.shape == (len(states) * r, dim)
+    k = rows.reshape(len(states), r, dim)
+    assert np.abs(np.einsum("ajd,aje->ade", k, k.conj()) - states).max() < 1e-13
+
+    vectors = np.concatenate([u.T for u in qd.haar_unitaries(dim, 2, rng)]) / np.sqrt(2)
+    probs, amp = _rank1_outcome_probs(rows, r, vectors)
+    dense = np.einsum("cd,ade,ce->ac", vectors.conj(), states, vectors).real
+    assert np.abs(probs - dense).max() < 1e-13
+    # the see-saw's push sum_a coeff[a, c] rho_a v_c, from the amplitudes it already has
+    coeff = rng.standard_normal((len(states), len(vectors)))
+    push = (np.repeat(coeff, r, axis=0) * amp).T @ rows
+    assert np.abs(push - np.einsum("ac,ade,ce->cd", coeff, states, vectors)).max() < 1e-13
+
+
+def test_accessible_info_pinned_results():
+    # values and step counts of the see-saw with dense-einsum kernels, before factoring
+    states = qd.haar_states(2, 30, np.random.default_rng(84))
+    ens = [(qd.environment_state(psi, 0.5), 1 / 30) for psi in states]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        res = qd.accessible_info_lb(ens, restarts=2, max_iter=60, rng=np.random.default_rng(85))
+    assert res.info == pytest.approx(0.1962125482357453, abs=1e-12)
+    assert (res.iterations, res.n_converged, res.converged) == (60, 0, False)
+
+    mub = qd.wootters_fields_mub(3, 1).vectors()
+    ens = [(qd.environment_state(psi, 0.5), 1 / 12) for psi in mub]
+    res = qd.accessible_info_lb(ens, restarts=3, max_iter=300, rng=np.random.default_rng(86))
+    assert res.info == pytest.approx(0.30583802106787594, abs=1e-12)
+    assert (res.iterations, res.n_converged, res.converged) == (138, 3, True)
 
 
 def test_line_candidate():

@@ -184,6 +184,38 @@ def test_design_check_mub_vs_single_basis():
     assert qd.design_check(single, 50, rng) > 0.01
 
 
+def _design_check_einsum(vectors, trials, rng):
+    # the 3-operand einsum form design_check had before its row-dot kernel
+    d = vectors.shape[1]
+    worst = 0.0
+    for _ in range(trials):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        va = np.einsum("md,de,me->m", vectors.conj(), a, vectors)
+        vb = np.einsum("md,de,me->m", vectors.conj(), b, vectors)
+        exact = (np.trace(a) * np.trace(b) + np.trace(a @ b)) / (d * (d + 1))
+        worst = max(worst, float(abs(np.mean(va * vb) - exact)))
+    return worst
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 12), (5, 7), (9, 40)])
+def test_design_check_matches_einsum_reference(d, n):
+    vectors = qd.haar_states(d, n, np.random.default_rng(63))
+    got = qd.design_check(vectors, 20, np.random.default_rng(64))
+    ref = _design_check_einsum(vectors, 20, np.random.default_rng(64))
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
+    mub = qd.wootters_fields_mub(3, 2).vectors()
+    assert qd.design_check(mub, 20, np.random.default_rng(65)) < 1e-12
+    assert _design_check_einsum(mub, 20, np.random.default_rng(65)) < 1e-12
+
+
+def test_design_check_nan_is_not_dropped():
+    # a NaN deviation must come out as NaN, not lose to the running max
+    vectors = np.eye(3, dtype=complex)
+    vectors[1, 1] = np.nan
+    assert np.isnan(qd.design_check(vectors, 3, np.random.default_rng(66)))
+
+
 def test_design_check_constant_functional_exact():
     rng = np.random.default_rng(62)
     vectors = np.eye(3, dtype=complex)

@@ -57,6 +57,30 @@ def test_herm_eig_rejects():
         qd.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+def _herm_eig_column_loop(h):
+    # the per-column phase fix herm_eig used before it was vectorized
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        lead = col[np.argmax(np.abs(col))]
+        if abs(lead) > 0:
+            v[:, k] = col * (abs(lead) / lead)
+    return w, v
+
+
+def test_herm_eig_bit_identical_to_column_loop():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 4, 7, 11, 49):
+        for trial in range(6):
+            h = random_psd(d, rng, rank=max(d // 2, 1)) if trial % 2 else random_psd(d, rng) - random_psd(d, rng)
+            if trial == 4:
+                h = h.real.astype(float)  # real symmetric input keeps real eigenvectors
+            w, v = qd.herm_eig(h)
+            w_ref, v_ref = _herm_eig_column_loop(h)
+            assert v.dtype == v_ref.dtype
+            assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
 def test_mat_sqrt_diagonal():
     assert np.allclose(qd.mat_sqrt(np.diag([4.0, 9.0]).astype(complex)), np.diag([2.0, 3.0]))
     assert np.allclose(qd.mat_sqrt(np.eye(2, dtype=complex) / 2), np.eye(2) / np.sqrt(2))
@@ -191,6 +215,22 @@ def test_haar_unitary_is_unitary():
     for _ in range(100):
         u = qd.haar_unitary(5, rng)
         assert np.abs(u.conj().T @ u - np.eye(5)).max() < 1e-10
+
+
+def test_haar_unitaries_bit_identical_to_per_matrix_loop():
+    # the one-at-a-time Ginibre-QR sampler haar_unitaries replaced
+    def one(d, rng):
+        z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r)
+        return q * (diag / np.abs(diag))
+
+    for d in (1, 2, 3, 5, 10):
+        for n in (1, 4, 9):
+            rng, rng_ref = np.random.default_rng(d * 100 + n), np.random.default_rng(d * 100 + n)
+            assert np.array_equal(qd.haar_unitaries(d, n, rng), np.stack([one(d, rng_ref) for _ in range(n)]))
+            assert np.array_equal(qd.haar_unitary(d, rng), one(d, rng_ref))
+            assert rng.random() == rng_ref.random()  # same stream position afterwards
 
 
 def test_haar_unitary_twirl_schur():
