@@ -217,9 +217,9 @@ def _state_factors(states: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int
     return factors.transpose(0, 2, 1).reshape(-1, states.shape[1]), r
 
 
-def _rank1_outcome_probs(rows: np.ndarray, r: int, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rank1_outcome_probs(rows_conj: np.ndarray, r: int, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p(c | state a) = sum_j |k_j† v_c|^2 for effects |v_c><v_c|, shape (a, c), and amplitudes k_j† v_c."""
-    amp = rows.conj() @ vectors.T
+    amp = rows_conj @ vectors.T
     return (amp.real**2 + amp.imag**2).reshape(-1, r, len(vectors)).sum(axis=1), amp
 
 
@@ -251,6 +251,7 @@ def accessible_info_lb(
     states = np.stack([np.asarray(r, dtype=complex) for r, _ in ensemble])
     dim = states.shape[1]
     rows, rank = _state_factors(states, tol)
+    rows_conj = rows.conj()
     if n_outcomes is None:
         n_outcomes = max(dim * (dim - 1), 1)
     n_unitaries = -(-n_outcomes // dim)  # ceil; columns come in blocks of dim
@@ -261,7 +262,7 @@ def accessible_info_lb(
     for stream in rng.spawn(restarts):
         blocks = haar_unitaries(dim, n_unitaries, stream)
         vectors = np.concatenate([u.T for u in blocks], axis=0) / np.sqrt(n_unitaries)
-        p_cond, amp = _rank1_outcome_probs(rows, rank, vectors)
+        p_cond, amp = _rank1_outcome_probs(rows_conj, rank, vectors)
         info = mutual_info(p_cond, weights)
         step = 1.0
         stall = 0
@@ -271,21 +272,24 @@ def accessible_info_lb(
             p_c = weights @ p_cond
             log_ratio = np.log(np.maximum(p_cond, 1e-300)) - np.log(np.maximum(p_c, 1e-300))
             # R_c v_c = sum_a w_a ln(p(c|a)/p(c)) sum_j k_j (k_j† v_c)
-            push = (np.repeat(weights[:, None] * log_ratio, rank, axis=0) * amp).T @ rows
+            coeff = (weights[:, None] * log_ratio)[:, None, :]
+            push = (coeff * amp.reshape(-1, rank, amp.shape[1])).reshape(amp.shape).T @ rows
             scale = np.abs(push).max()
             if scale > 0:
                 push = push / scale
 
+            # after a backtrack to t/2, the doubling probe asks for t again
+            tried: dict[float, tuple | None] = {}
+
             def try_step(t: float):
-                moved = vectors + t * push
-                total = moved.T @ moved.conj()
-                s_root = gen_inv_sqrt((total + dagger(total)) / 2, tol)
-                cand = moved @ s_root.T
-                resid = cand.T @ cand.conj() - eye
-                if np.abs(resid).max() > tol.reconstruction:
-                    return None
-                p_new, amp_new = _rank1_outcome_probs(rows, rank, cand)
-                return mutual_info(p_new, weights), cand, p_new, amp_new
+                if t not in tried:
+                    moved = vectors + t * push
+                    cand = moved @ gen_inv_sqrt(moved.T @ moved.conj(), tol).T
+                    tried[t] = None
+                    if np.abs(cand.T @ cand.conj() - eye).max() <= tol.reconstruction:  # False on NaN
+                        p_new, amp_new = _rank1_outcome_probs(rows_conj, rank, cand)
+                        tried[t] = mutual_info(p_new, weights), cand, p_new, amp_new
+                return tried[t]
 
             # backtrack until uphill, then double greedily while still gaining
             gained = None
@@ -301,7 +305,7 @@ def accessible_info_lb(
             if gained is not None:
                 for _ in range(12):
                     trial = try_step(2 * t_try)
-                    if trial is None or trial[0] <= gained[0]:
+                    if trial is None or not trial[0] > gained[0]:
                         break
                     t_try *= 2
                     gained = trial

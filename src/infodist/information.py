@@ -77,9 +77,8 @@ def xlogx_integral(d: int) -> float:
 
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy (nats) of each row, with 0 log 0 = 0."""
-    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return -terms.sum(axis=-1)
+    """Shannon entropy (nats) of each row, with 0 log 0 = 0; a NaN entry makes its row NaN."""
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
 
 
 def mutual_info(p_cond: np.ndarray, weights: np.ndarray) -> float:

@@ -26,6 +26,15 @@ def require_square(a: np.ndarray) -> int:
     return a.shape[0]
 
 
+def _gated_eigh(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of (H + H†)/2, after rejecting asymmetry beyond ``tol.herm_gate``."""
+    require_square(h)
+    asym = np.abs(h - dagger(h)).max() if h.size else 0.0
+    if asym > tol.herm_gate:
+        raise NonHermitianError(f"matrix is not Hermitian: max |H - H^dag| = {asym:.3e}")
+    return np.linalg.eigh((h + dagger(h)) / 2)
+
+
 def herm_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with reproducible output.
 
@@ -34,11 +43,7 @@ def herm_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, 
     column is real and positive. The input is symmetrized as (H + H†)/2
     first; asymmetry beyond ``tol.herm_gate`` is an error.
     """
-    require_square(h)
-    asym = np.abs(h - dagger(h)).max() if h.size else 0.0
-    if asym > tol.herm_gate:
-        raise NonHermitianError(f"matrix is not Hermitian: max |H - H^dag| = {asym:.3e}")
-    w, v = np.linalg.eigh((h + dagger(h)) / 2)
+    w, v = _gated_eigh(h, tol)
     if v.size:
         lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
         mag = np.hypot(lead.real, lead.imag)  # bit-equal to abs() of one entry; np.abs is not
@@ -46,19 +51,23 @@ def herm_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, 
     return w, v
 
 
-def _psd_spectrum(p: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a PSD matrix with null-space cleanup.
+def _psd_support(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Null-space cleanup of the ascending spectrum of a PSD matrix.
 
     Eigenvalues below -tol.psd_slack raise NotPositiveError. Eigenvalues
     below the support cutoff d * max(w) * tol.support_rel are zeroed, which
     keeps square roots of rank-deficient operators free of sqrt(eps) noise.
     """
-    w, v = herm_eig(p, tol)
     if w.size and w[0] < -tol.psd_slack:
         raise NotPositiveError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
     cutoff = max(0.0, len(w) * (w[-1] if w.size else 0.0) * tol.support_rel)
-    w = np.where(w > cutoff, w, 0.0)
-    return w, v
+    return np.where(w > cutoff, w, 0.0)
+
+
+def _psd_spectrum(p: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-fixed eigendecomposition of a PSD matrix with null-space cleanup."""
+    w, v = herm_eig(p, tol)
+    return _psd_support(w, tol), v
 
 
 def mat_sqrt(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -70,9 +79,11 @@ def mat_sqrt(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def gen_inv_sqrt(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Square root of the generalized (Moore-Penrose) inverse of a PSD matrix.
 
-    Inverse square root on the support, zero on the null space.
+    Inverse square root on the support, zero on the null space. The column
+    phases of V cancel in V f(w) V†, so this skips herm_eig's phase fix.
     """
-    w, v = _psd_spectrum(p, tol)
+    w, v = _gated_eigh(p, tol)
+    w = _psd_support(w, tol)
     inv = np.where(w > 0, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
     return (v * inv) @ dagger(v)
 
@@ -121,7 +132,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL) 
         raise DimMismatchError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     root = mat_sqrt(rho, tol)
     val = float(np.sum(np.sqrt(_psd_spectrum(root @ sigma @ root, tol)[0])) ** 2)
-    return min(val, 1.0) if val <= 1.0 + 1e-9 else val
+    return min(val, 1.0) if val <= 1.0 + tol.reconstruction else val
 
 
 def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -161,7 +172,7 @@ def validate_pure_state(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
     if psi.ndim != 1:
         raise DimMismatchError(f"expected a vector, got shape {psi.shape}")
     norm = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm - 1.0) >= 1e-12:
+    if not abs(norm - 1.0) < tol.weight:
         raise ValueError(f"state is not normalized: |psi|^2 = {norm!r}")
 
 

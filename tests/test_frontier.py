@@ -6,6 +6,7 @@ import pytest
 import infodist as qd
 from infodist.config import DEFAULT_TOL
 from infodist.errors import ConvergenceWarning
+from infodist import frontier
 from infodist.frontier import _rank1_outcome_probs, _state_factors
 
 E0 = np.array([1, 0], dtype=complex)
@@ -170,7 +171,7 @@ def test_factored_kernels_match_dense_reference(d, p):
     assert np.abs(np.einsum("ajd,aje->ade", k, k.conj()) - states).max() < 1e-13
 
     vectors = np.concatenate([u.T for u in qd.haar_unitaries(dim, 2, rng)]) / np.sqrt(2)
-    probs, amp = _rank1_outcome_probs(rows, r, vectors)
+    probs, amp = _rank1_outcome_probs(rows.conj(), r, vectors)
     dense = np.einsum("cd,ade,ce->ac", vectors.conj(), states, vectors).real
     assert np.abs(probs - dense).max() < 1e-13
     # the see-saw's push sum_a coeff[a, c] rho_a v_c, from the amplitudes it already has
@@ -194,6 +195,54 @@ def test_accessible_info_pinned_results():
     res = qd.accessible_info_lb(ens, restarts=3, max_iter=300, rng=np.random.default_rng(86))
     assert res.info == pytest.approx(0.30583802106787594, abs=1e-12)
     assert (res.iterations, res.n_converged, res.converged) == (138, 3, True)
+
+
+def test_accessible_info_one_evaluation_per_step_size(monkeypatch):
+    # the runs of test_accessible_info_pinned_results took 291 and 1,004 S^{-1/2} evaluations
+    # while the doubling probe after a backtrack re-tried the step size just rejected (51 and 172 times)
+    calls = []
+    real = frontier.gen_inv_sqrt
+    monkeypatch.setattr(frontier, "gen_inv_sqrt", lambda p, tol: calls.append(1) or real(p, tol))
+    states = qd.haar_states(2, 30, np.random.default_rng(84))
+    ens = [(qd.environment_state(psi, 0.5), 1 / 30) for psi in states]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        qd.accessible_info_lb(ens, restarts=2, max_iter=60, rng=np.random.default_rng(85))
+    assert len(calls) == 291 - 51
+
+    calls.clear()
+    mub = qd.wootters_fields_mub(3, 1).vectors()
+    ens = [(qd.environment_state(psi, 0.5), 1 / 12) for psi in mub]
+    qd.accessible_info_lb(ens, restarts=3, max_iter=300, rng=np.random.default_rng(86))
+    assert len(calls) == 1004 - 172
+
+
+def test_accessible_info_rejects_nan_step(monkeypatch):
+    # a NaN S^{-1/2} must fail the feasibility check before its probabilities are scored
+    calls = []
+    real_inv_sqrt, real_mutual_info = frontier.gen_inv_sqrt, frontier.mutual_info
+
+    def inv_sqrt(p, tol):
+        calls.append(1)
+        out = real_inv_sqrt(p, tol)
+        return np.full_like(out, np.nan) if len(calls) == 3 else out
+
+    scored_nan = []
+
+    def mutual_info(p_cond, weights):
+        scored_nan.append(bool(np.isnan(p_cond).any()))
+        return real_mutual_info(p_cond, weights)
+
+    monkeypatch.setattr(frontier, "gen_inv_sqrt", inv_sqrt)
+    monkeypatch.setattr(frontier, "mutual_info", mutual_info)
+    states = qd.haar_states(2, 30, np.random.default_rng(87))
+    ens = [(qd.environment_state(psi, 0.5), 1 / 30) for psi in states]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        res = qd.accessible_info_lb(ens, restarts=1, max_iter=20, rng=np.random.default_rng(88))
+    assert len(calls) > 3 and not any(scored_nan)
+    assert np.isfinite(res.info) and res.info > 0
+    assert all(np.isfinite(e).all() for e in res.povm.effects) and qd.povm_validate(res.povm).passed
 
 
 def test_line_candidate():

@@ -131,3 +131,11 @@ def test_info_coarse_graining_monotone():
     grouped = qd.coarse_grain(povm, [[0, 2], [1, 3]])
     coarse = qd.info_finite_ensemble(grouped, ensemble).mutual_info
     assert coarse <= fine + 1e-12
+
+
+def test_mutual_info_nan_row_is_nan():
+    # a NaN probability must not be read as 0 log 0
+    p_cond = np.array([[np.nan, np.nan], [0.5, 0.5], [1.0, 0.0]])
+    assert np.isnan(qd.mutual_info(p_cond, np.full(3, 1.0 / 3.0)))
+    h_c = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
+    assert qd.mutual_info(p_cond[1:], np.full(2, 0.5)) == pytest.approx(h_c - 0.5 * LN2, abs=1e-15)

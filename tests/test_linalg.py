@@ -114,6 +114,35 @@ def test_gen_inv_sqrt_support_rule():
     assert np.allclose(out, np.diag([1.0 / 3.0, 0.0]))
 
 
+def _gen_inv_sqrt_phase_fixed(p):
+    # S^{-1/2} through herm_eig's phase-fixed eigenvectors, as gen_inv_sqrt used to take it
+    w, v = qd.herm_eig(p)
+    w = np.where(w > max(0.0, len(w) * w[-1] * 1e-12), w, 0.0)
+    return (v * np.where(w > 0, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)) @ v.conj().T
+
+
+def test_gen_inv_sqrt_matches_phase_fixed_reference():
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 5, 10, 49):
+        for rank in sorted({1, max(d // 2, 1), d}):
+            p = random_psd(d, rng, rank=rank)
+            p /= np.abs(p).max()
+            out = qd.gen_inv_sqrt(p)
+            assert np.abs(out - _gen_inv_sqrt_phase_fixed(p)).max() < 1e-13 * max(1.0, np.abs(out).max())
+            # Moore-Penrose: S^{-1/2} S S^{-1/2} is the projector onto the support
+            proj = out @ p @ out
+            assert np.abs(proj @ proj - proj).max() < 1e-9 and np.trace(proj).real == pytest.approx(rank, abs=1e-8)
+
+
+def test_gen_inv_sqrt_rejects():
+    with pytest.raises(NonHermitianError):
+        qd.gen_inv_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+    with pytest.raises(NotPositiveError):
+        qd.gen_inv_sqrt(np.diag([1.0, -1.0]).astype(complex))
+    with pytest.raises(NonSquareError):
+        qd.gen_inv_sqrt(np.zeros((2, 3), dtype=complex))
+
+
 def test_polar_unitary_and_positive_inputs():
     rng = np.random.default_rng(6)
     w = qd.haar_unitary(4, rng)
@@ -251,3 +280,12 @@ def test_validators():
     qd.validate_density(np.eye(2, dtype=complex) / 2)
     with pytest.raises(NotPositiveError):
         qd.validate_density(np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_validate_pure_state_nan_and_tolerance():
+    with pytest.raises(ValueError):
+        qd.validate_pure_state(np.array([np.nan, 0.0], dtype=complex))
+    near = np.array([np.sqrt(1.0 + 1e-8), 0.0], dtype=complex)
+    with pytest.raises(ValueError):
+        qd.validate_pure_state(near)
+    qd.validate_pure_state(near, qd.Tolerances(weight=1e-3))
