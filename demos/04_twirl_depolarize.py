@@ -19,7 +19,7 @@ p_star = qd.twirl_depolarizing_p(basis)
 print(f"qubit basis POVM: p* = {p_star:.6f} (exact 2/3)")
 
 rho = qd.outer(np.array([1, 0], dtype=complex))
-mean, stderr = qd.twirl_channel(basis, rho, 20_000, rng, return_stderr=True)
+mean, stderr = qd.twirl_channel(basis, rho, 20_000, rng)
 target = qd.depolarize(rho, p_star)
 print("twirled channel on |0><0| (sampled over 20k unitaries):")
 print(np.array_str(mean, precision=4, suppress_small=True))

@@ -29,6 +29,8 @@ from .linalg import (
     mat_sqrt,
     outer,
     polar_decompose,
+    random_density,
+    random_stinespring_isometry,
     validate_density,
     validate_distribution,
     validate_pure_state,
@@ -49,7 +51,6 @@ from .measurement import (
     luders_projective,
     povm_validate,
     random_povm,
-    random_stinespring_isometry,
     remix,
     reset_instrument,
     sqrt_instrument,
@@ -57,7 +58,6 @@ from .measurement import (
 )
 from .disturbance import (
     DisturbanceReport,
-    PiOperator,
     avg_fidelity_design,
     avg_fidelity_mc,
     avg_fidelity_uniform,
@@ -67,7 +67,6 @@ from .disturbance import (
     min_disturbance_uniform,
     one_term_instrument,
     pair_moment,
-    pi_operator,
     restore_counterexample,
     superadditivity_margin,
 )
@@ -91,11 +90,11 @@ from .galois import (
     mub_design_residual,
     mub_validate,
     odd_prime_power,
+    pi_operator,
     wootters_fields_mub,
 )
 from .frontier import (
     AccessibleInfoResult,
-    EnvironmentModel,
     FrontierPoint,
     accessible_info_lb,
     covariance_check,

@@ -15,17 +15,17 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import serialize
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .disturbance import avg_fidelity_design, avg_fidelity_mc, min_disturbance_uniform
 from .errors import InfodistError
 from .frontier import depolarize, frontier_curve, twirl_channel, twirl_depolarizing_p
 from .galois import design_check, odd_prime_power, wootters_fields_mub
 from .information import info_uniform_mc
+from .linalg import random_density
 from .measurement import POVM, povm_validate, sqrt_instrument
 
 
@@ -41,21 +41,8 @@ class ConvergenceFailure(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run depends on besides its input files. The seed comes
-    from --seed, else the QF_SEED environment variable, else 0; never the
-    clock."""
-
-    seed: int
-    samples: int
-    restarts: int
-    log_base: str
-    out: str | None
-    tol: Tolerances
-
-
 def _resolve_seed(args) -> int:
+    """--seed, else the QF_SEED environment variable, else 0; never the clock."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("QF_SEED")
@@ -65,26 +52,6 @@ def _resolve_seed(args) -> int:
         except ValueError as exc:
             raise UsageError(f"QF_SEED must be an integer, got {env!r}") from exc
     return 0
-
-
-def _tolerances(args) -> Tolerances:
-    overrides = {}
-    for name in ("algebraic", "reconstruction", "psd_slack"):
-        value = getattr(args, f"tol_{name}", None)
-        if value is not None:
-            overrides[name] = value
-    return Tolerances(**overrides) if overrides else DEFAULT_TOL
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        seed=_resolve_seed(args) if hasattr(args, "seed") else 0,
-        samples=getattr(args, "samples", 0),
-        restarts=getattr(args, "restarts", 0),
-        log_base="bits" if getattr(args, "bits", False) else "nats",
-        out=args.out,
-        tol=_tolerances(args),
-    )
 
 
 def _read_json(path: str) -> dict:
@@ -97,13 +64,13 @@ def _read_json(path: str) -> dict:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_povm(path: str, tol: Tolerances) -> POVM:
+def _load_povm(path: str) -> POVM:
     obj = _read_json(path)
     try:
         povm = serialize.povm_from_json(obj)
     except (KeyError, TypeError, ValueError, InfodistError) as exc:
         raise ValidationFailure(f"{path} does not encode a POVM: {exc}") from exc
-    diag = povm_validate(povm, tol)
+    diag = povm_validate(povm)
     if not diag.passed:
         raise ValidationFailure(
             f"{path} violates POVM invariants: hermiticity residual "
@@ -123,17 +90,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_mub(args) -> int:
-    cfg = _config(args)
     try:
         mub = wootters_fields_mub(args.p, args.n, cap=args.cap)
     except ValueError as exc:  # even or non-prime p, n < 1, dimension over the cap
         raise ValidationFailure(str(exc)) from exc
-    _emit(serialize.dumps(serialize.mubset_to_json(mub, p=args.p, n=args.n)), cfg.out)
+    _emit(serialize.dumps(serialize.mubset_to_json(mub, p=args.p, n=args.n)), args.out)
     return 0
 
 
 def cmd_design_check(args) -> int:
-    cfg = _config(args)
     obj = _read_json(args.infile)
     try:
         if isinstance(obj, dict) and "bases" in obj:
@@ -145,20 +110,19 @@ def cmd_design_check(args) -> int:
         vectors = np.concatenate([b.T for b in bases], axis=0)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{args.infile} does not encode bases: {exc}") from exc
-    deviation = design_check(vectors, args.trials, np.random.default_rng(cfg.seed))
+    deviation = design_check(vectors, args.trials, np.random.default_rng(_resolve_seed(args)))
     print(f"max deviation over {args.trials} random degree-2 functionals: {deviation:.17g}")
-    if not deviation < cfg.tol.algebraic:  # a NaN deviation fails too
-        raise ValidationFailure(f"vectors are not a 2-design (deviation {deviation:.3e} >= {cfg.tol.algebraic:.0e})")
+    if not deviation < DEFAULT_TOL.algebraic:  # a NaN deviation fails too
+        raise ValidationFailure(f"vectors are not a 2-design (deviation {deviation:.3e} >= {DEFAULT_TOL.algebraic:.0e})")
     return 0
 
 
 def cmd_disturbance(args) -> int:
-    cfg = _config(args)
-    povm = _load_povm(args.povm, cfg.tol)
+    povm = _load_povm(args.povm)
     if args.method == "exact":
-        report = min_disturbance_uniform(povm, cfg.tol)
+        report = min_disturbance_uniform(povm)
     elif args.method == "mc":
-        report = avg_fidelity_mc(sqrt_instrument(povm, cfg.tol), cfg.samples, np.random.default_rng(cfg.seed))
+        report = avg_fidelity_mc(sqrt_instrument(povm), args.samples, np.random.default_rng(_resolve_seed(args)))
     else:
         pp = odd_prime_power(povm.dim)
         if pp is None:
@@ -166,23 +130,21 @@ def cmd_disturbance(args) -> int:
                 f"no unbiased-bases design available in dimension {povm.dim}; use --method exact or mc"
             )
         design = wootters_fields_mub(*pp).vectors()
-        report = avg_fidelity_design(sqrt_instrument(povm, cfg.tol), design)
-    _emit(serialize.dumps(serialize.report_to_json(report)), cfg.out)
+        report = avg_fidelity_design(sqrt_instrument(povm), design)
+    _emit(serialize.dumps(serialize.report_to_json(report)), args.out)
     return 0
 
 
 def cmd_info(args) -> int:
-    cfg = _config(args)
-    povm = _load_povm(args.povm, cfg.tol)
-    report = info_uniform_mc(povm, cfg.samples, np.random.default_rng(cfg.seed))
-    if cfg.log_base == "bits":
+    povm = _load_povm(args.povm)
+    report = info_uniform_mc(povm, args.samples, np.random.default_rng(_resolve_seed(args)))
+    if args.bits:
         report = report.in_bits()
-    _emit(serialize.dumps(serialize.report_to_json(report)), cfg.out)
+    _emit(serialize.dumps(serialize.report_to_json(report)), args.out)
     return 0
 
 
 def cmd_frontier(args) -> int:
-    cfg = _config(args)
     if args.d < 2:
         raise UsageError("dimension must be at least 2")
     if args.grid < 2:
@@ -193,13 +155,12 @@ def cmd_frontier(args) -> int:
         points = frontier_curve(
             args.d,
             grid,
-            ensemble_size=cfg.samples,
-            restarts=cfg.restarts,
-            rng=np.random.default_rng(cfg.seed),
+            ensemble_size=args.samples,
+            restarts=args.restarts,
+            rng=np.random.default_rng(_resolve_seed(args)),
             max_iter=args.max_iter,
-            tol=cfg.tol,
         )
-    _emit(serialize.frontier_to_csv(points), cfg.out)
+    _emit(serialize.frontier_to_csv(points), args.out)
     if args.json is not None:
         _emit(serialize.dumps(serialize.frontier_to_json(points)), args.json)
     stragglers = [pt.p for pt in points if not pt.optimizer_meta.get("converged", False)]
@@ -212,17 +173,13 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_twirl_check(args) -> int:
-    cfg = _config(args)
-    povm = _load_povm(args.povm, cfg.tol)
-    rng = np.random.default_rng(cfg.seed)
-    p_star = twirl_depolarizing_p(povm, cfg.tol)
-    d = povm.dim
+    povm = _load_povm(args.povm)
+    rng = np.random.default_rng(_resolve_seed(args))
+    p_star = twirl_depolarizing_p(povm)
     ratios = []
     for _ in range(args.states):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rho = x @ x.conj().T
-        rho = rho / np.trace(rho).real
-        mean, stderr = twirl_channel(povm, rho, cfg.samples, rng, return_stderr=True, tol=cfg.tol)
+        rho = random_density(povm.dim, rng)
+        mean, stderr = twirl_channel(povm, rho, args.samples, rng)
         diff = mean - depolarize(rho, p_star)
         floor = 1e-12
         ratios += [np.abs(diff.real) / (5 * stderr.real + floor), np.abs(diff.imag) / (5 * stderr.imag + floor)]
@@ -231,12 +188,12 @@ def cmd_twirl_check(args) -> int:
     passed = worst <= 1.0
     result = {
         "p_star": p_star,
-        "samples": cfg.samples,
+        "samples": args.samples,
         "states": args.states,
         "worst_ratio_of_5stderr": worst,
         "passed": passed,
     }
-    _emit(serialize.dumps(result), cfg.out)
+    _emit(serialize.dumps(result), args.out)
     if not passed:
         raise ValidationFailure(
             f"twirled channel deviates from the depolarizing form by {worst:.2f}x the 5-stderr band"
@@ -261,9 +218,6 @@ def _add_common(parser: argparse.ArgumentParser, seed=True) -> None:
     if seed:
         parser.add_argument("--seed", type=int, default=None, help="RNG seed (overrides QF_SEED; default 0)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--tol-algebraic", type=float, default=None)
-    parser.add_argument("--tol-reconstruction", type=float, default=None)
-    parser.add_argument("--tol-psd-slack", dest="tol_psd_slack", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,24 +33,6 @@ from .measurement import (
 )
 
 
-@dataclass(frozen=True)
-class PiOperator:
-    """Second moment of psi^(x2) over Haar states, on the d^2-dim space.
-
-    Matrix elements <ij|Pi|kl> = (delta_ik delta_jl + delta_il delta_jk)
-    / (d(d+1)); constructed exactly rather than integrated.
-    """
-
-    dim: int
-    matrix: np.ndarray
-
-
-def pi_operator(d: int) -> PiOperator:
-    eye = np.eye(d)
-    sym = np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye)
-    return PiOperator(d, sym.reshape(d * d, d * d) / (d * (d + 1)))
-
-
 def pair_moment(a: np.ndarray, b: np.ndarray) -> float | complex:
     """Haar average of <psi|A|psi><psi|B|psi>: (tr A tr B + tr AB) / (d(d+1)).
 
@@ -73,7 +55,7 @@ class DisturbanceReport:
 
 
 def _report(avg: float, method: str, stderr=None, samples=None) -> DisturbanceReport:
-    if avg <= 1.0 + 1e-9:  # forgive rounding overshoot, keep real violations visible
+    if avg <= 1.0 + DEFAULT_TOL.reconstruction:  # forgive rounding overshoot, keep real violations visible
         avg = min(max(avg, 0.0), 1.0)
     return DisturbanceReport(float(avg), 1.0 - float(avg), method, stderr, samples)
 

@@ -19,7 +19,16 @@ from .config import DEFAULT_TOL, Tolerances
 from .disturbance import min_disturbance_uniform
 from .errors import ConvergenceWarning, DimMismatchError
 from .information import info_finegrained_exact, mutual_info
-from .linalg import dagger, haar_states, haar_unitaries, mat_sqrt, outer, gen_inv_sqrt, validate_distribution
+from .linalg import (
+    dagger,
+    gen_inv_sqrt,
+    haar_states,
+    haar_unitaries,
+    mat_sqrt,
+    outer,
+    random_density,
+    validate_distribution,
+)
 from .measurement import POVM, Instrument, apply_channel, basis_povm, convex_mix, sqrt_instrument
 from .galois import odd_prime_power, wootters_fields_mub
 
@@ -64,16 +73,14 @@ def covariance_check(
     if samples:
         if rng is None:
             raise ValueError("sampling pairs requires an rng")
-        d = inst.dim
         for _ in range(samples):
-            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            g = x @ dagger(x)
-            pairs.append((haar_unitaries(d, 1, rng)[0], g / np.trace(g).real))
-    residual = 0.0
+            state = random_density(inst.dim, rng)  # drawn before its unitary
+            pairs.append((haar_unitaries(inst.dim, 1, rng)[0], state))
+    residuals = []
     for u, state in pairs:
         rotated = dagger(u) @ apply_channel(inst, u @ state @ dagger(u)) @ u
-        residual = max(residual, float(np.abs(rotated - apply_channel(inst, state)).max()))
-    return residual
+        residuals.append(np.abs(rotated - apply_channel(inst, state)).max())
+    return float(np.max(residuals, initial=0.0))  # NaN propagates, unlike Python's max
 
 
 def twirl_depolarizing_p(povm: POVM, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -90,15 +97,14 @@ def twirl_channel(
     rho: np.ndarray,
     n_samples: int,
     rng: np.random.Generator,
-    return_stderr: bool = False,
     tol: Tolerances = DEFAULT_TOL,
-):
+) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo Haar twirl of the square-root instrument's channel.
 
     Averages U sqrt(F_b) U† rho U sqrt(F_b) U† over Haar unitaries; the
-    limit is ``depolarize(rho, twirl_depolarizing_p(povm))``. With
-    ``return_stderr`` the per-entry standard errors of the real and
-    imaginary parts are returned as one complex array.
+    limit is ``depolarize(rho, twirl_depolarizing_p(povm))``. Returns the
+    mean and, as one complex array, the per-entry standard errors of its
+    real and imaginary parts.
     """
     rho = np.asarray(rho, dtype=complex)
     d = povm.dim
@@ -110,8 +116,6 @@ def twirl_channel(
         conj = us @ r @ uds
         vals += conj @ rho @ conj.conj().transpose(0, 2, 1)
     mean = vals.mean(axis=0)
-    if not return_stderr:
-        return mean
     stderr = (vals.real.std(axis=0, ddof=1) + 1j * vals.imag.std(axis=0, ddof=1)) / np.sqrt(n_samples)
     return mean, stderr
 
@@ -119,25 +123,16 @@ def twirl_channel(
 # -- environment model --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnvironmentModel:
-    """(d^2+1)-dim environment: a flag direction (index 0) plus a d x d
-    entangled block (indices 1 + i*d + k, row-major)."""
-
-    d: int
-    p: float
-    env_dim: int
-    initial_env: np.ndarray
-
-
-def environment_model(d: int, p: float) -> EnvironmentModel:
+def environment_model(d: int, p: float) -> np.ndarray:
+    """Initial environment vector in C^(d^2+1): a flag direction (index 0)
+    plus a d x d entangled block (indices 1 + i*d + k, row-major)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing probability must lie in [0, 1], got {p!r}")
     env = np.zeros(d * d + 1, dtype=complex)
     env[0] = np.sqrt(1.0 - p)
     for i in range(d):
         env[1 + i * d + i] = np.sqrt(p / d)
-    return EnvironmentModel(d, p, d * d + 1, env)
+    return env
 
 
 def environment_state(psi: np.ndarray, p: float) -> np.ndarray:
@@ -184,9 +179,9 @@ def env_unitary_check(psi: np.ndarray, p: float) -> tuple[float, float]:
     ``depolarize`` respectively."""
     psi = np.asarray(psi, dtype=complex)
     d = psi.shape[0]
-    model = environment_model(d, p)
-    joint = swap_dilation_unitary(d) @ np.kron(psi, model.initial_env)
-    amp = joint.reshape(d, model.env_dim)
+    env = environment_model(d, p)
+    joint = swap_dilation_unitary(d) @ np.kron(psi, env)
+    amp = joint.reshape(d, len(env))
     rho_env = np.einsum("ai,aj->ij", amp, amp.conj())
     rho_sys = np.einsum("ia,ja->ij", amp, amp.conj())
     res_env = float(np.abs(rho_env - environment_state(psi, p)).max())
@@ -228,9 +223,6 @@ def accessible_info_lb(
     restarts: int = 16,
     max_iter: int = 500,
     rng: np.random.Generator | None = None,
-    n_outcomes: int | None = None,
-    improve_tol: float = 1e-9,
-    patience: int = 10,
     tol: Tolerances = DEFAULT_TOL,
 ) -> AccessibleInfoResult:
     """Lower bound on the accessible information of a density-operator
@@ -243,7 +235,8 @@ def accessible_info_lb(
     normalization S^{-1/2} applied to every vector (S the new effect sum).
     Keeping the factored form makes positivity structural. Downhill steps
     are rejected (backtracking on t), so the objective is monotone; the
-    best restart wins and ties go to the earliest.
+    best restart wins and ties go to the earliest. A restart has converged
+    once 10 iterations in a row gain less than 1e-9 nats.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
@@ -252,9 +245,9 @@ def accessible_info_lb(
     dim = states.shape[1]
     rows, rank = _state_factors(states, tol)
     rows_conj = rows.conj()
-    if n_outcomes is None:
-        n_outcomes = max(dim * (dim - 1), 1)
-    n_unitaries = -(-n_outcomes // dim)  # ceil; columns come in blocks of dim
+    n_unitaries = max(dim - 1, 1)  # dim(dim-1) outcomes, the columns of dim-1 unitaries
+    gain_floor = 1e-9  # nats
+    patience = 10
     eye = np.eye(dim, dtype=complex)
 
     best: tuple[float, np.ndarray, bool, int] | None = None
@@ -312,7 +305,7 @@ def accessible_info_lb(
                 improvement = gained[0] - info
                 info, vectors, p_cond, amp = gained
                 step = min(t_try * 1.3, 32.0)
-                stall = stall + 1 if improvement < improve_tol else 0
+                stall = stall + 1 if improvement < gain_floor else 0
             else:
                 stall += 1
             if stall >= patience:
@@ -368,7 +361,6 @@ def frontier_curve(
     restarts: int = 16,
     rng: np.random.Generator | None = None,
     max_iter: int = 500,
-    use_design: bool | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> list[FrontierPoint]:
     """Information-disturbance frontier lower bound for the uniform ensemble.
@@ -388,11 +380,7 @@ def frontier_curve(
         if not -1e-12 <= p <= p_max + 1e-12:
             raise ValueError(f"p={p!r} outside [0, {p_max}]")
     pp = odd_prime_power(d)
-    if use_design is None:
-        use_design = pp is not None
-    if use_design:
-        if pp is None:
-            raise ValueError(f"no unbiased-bases design available in dimension {d}")
+    if pp is not None:
         states = wootters_fields_mub(*pp).vectors()
     else:
         states = haar_states(d, ensemble_size, rng)

@@ -19,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimMismatchError, EvenPrimeError
-from .disturbance import pi_operator
 
 
 def is_prime(p: int) -> bool:
@@ -183,22 +182,32 @@ def wootters_fields_mub(p: int, n: int, cap: int = 49) -> MubSet:
 
 def mub_validate(mub: MubSet) -> tuple[float, float]:
     """(max unitarity residual, max deviation of cross overlaps from 1/sqrt d)."""
-    unit = 0.0
-    overlap = 0.0
+    units = []
+    overlaps = []
     root = 1.0 / np.sqrt(mub.d)
     eye = np.eye(mub.d)
     for i, b in enumerate(mub.bases):
-        unit = max(unit, float(np.abs(b.conj().T @ b - eye).max()))
+        units.append(np.abs(b.conj().T @ b - eye).max())
         for c in mub.bases[i + 1 :]:
-            overlap = max(overlap, float(np.abs(np.abs(b.conj().T @ c) - root).max()))
-    return unit, overlap
+            overlaps.append(np.abs(np.abs(b.conj().T @ c) - root).max())
+    # np.max propagates NaN; Python's max would drop it
+    return float(np.max(units, initial=0.0)), float(np.max(overlaps, initial=0.0))
+
+
+def pi_operator(d: int) -> np.ndarray:
+    """Second moment of psi^(x2) over Haar states, a d^2 x d^2 matrix with
+    entries <ij|Pi|kl> = (delta_ik delta_jl + delta_il delta_jk) / (d(d+1)),
+    constructed exactly rather than integrated."""
+    eye = np.eye(d)
+    sym = np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye)
+    return sym.reshape(d * d, d * d) / (d * (d + 1))
 
 
 def design_operator(vectors: np.ndarray) -> np.ndarray:
     """Average of |v x v><v x v| over a list of unit vectors (rows).
 
     For the full set of unbiased-bases vectors this equals the Haar second
-    moment ``pi_operator(d).matrix`` exactly: the set is a 2-design.
+    moment ``pi_operator(d)`` exactly: the set is a 2-design.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if vectors.shape[0] == 0:
@@ -229,4 +238,4 @@ def design_check(vectors: np.ndarray, trials: int, rng: np.random.Generator) -> 
 def mub_design_residual(mub: MubSet) -> float:
     """Max-entry distance between the design operator of the unbiased-bases
     vectors and the exact Haar second moment."""
-    return float(np.abs(design_operator(mub.vectors()) - pi_operator(mub.d).matrix).max())
+    return float(np.abs(design_operator(mub.vectors()) - pi_operator(mub.d)).max())

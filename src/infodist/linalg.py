@@ -30,7 +30,7 @@ def _gated_eigh(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]
     """eigh of (H + H†)/2, after rejecting asymmetry beyond ``tol.herm_gate``."""
     require_square(h)
     asym = np.abs(h - dagger(h)).max() if h.size else 0.0
-    if asym > tol.herm_gate:
+    if not asym <= tol.herm_gate:  # a NaN entry fails too
         raise NonHermitianError(f"matrix is not Hermitian: max |H - H^dag| = {asym:.3e}")
     return np.linalg.eigh((h + dagger(h)) / 2)
 
@@ -151,14 +151,32 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitaries(d, 1, rng)[0]
 
 
+def _rephased_qr(z: np.ndarray) -> np.ndarray:
+    """Q of the QR decomposition of each matrix in ``z``, its columns rephased
+    by the diagonal of R. For Ginibre ``z`` this is Haar; plain QR is not."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` independent Haar unitaries, shape (n, d, d): QR of complex Ginibre
-    matrices (each draws its real, then its imaginary part), with the columns
-    rephased by the diagonal of R; without that correction QR is not Haar."""
+    """``n`` independent Haar unitaries, shape (n, d, d), from complex Ginibre
+    matrices (each draws its real, then its imaginary part)."""
     g = rng.standard_normal((n, 2, d, d))
-    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    return q * (diag / np.abs(diag))[:, None, :]
+    return _rephased_qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+
+
+def random_stinespring_isometry(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Random (k*d, d) isometry; its d x d blocks form a random channel."""
+    return _rephased_qr(rng.standard_normal((k * d, d)) + 1j * rng.standard_normal((k * d, d)))
+
+
+def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank density operator X X† / tr(X X†), X complex Ginibre
+    (real part drawn before the imaginary part)."""
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = x @ dagger(x)
+    return g / np.trace(g).real
 
 
 def outer(psi: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
@@ -177,16 +195,17 @@ def validate_pure_state(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
 
 
 def validate_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
-    """Check Hermiticity, positivity and unit trace of a density operator."""
+    """Check Hermiticity, positivity and unit trace of a density operator.
+    Each test is written so that a NaN fails it."""
     require_square(rho)
     asym = np.abs(rho - dagger(rho)).max()
-    if asym > 1e-12:
+    if not asym <= 1e-12:
         raise NonHermitianError(f"density operator not Hermitian: {asym:.3e}")
     w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-    if w[0] < -tol.psd_slack:
+    if not w[0] >= -tol.psd_slack:
         raise NotPositiveError(f"density operator has eigenvalue {w[0]:.3e}")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol.psd_slack:
+    if not abs(tr - 1.0) <= tol.psd_slack:
         raise NotPositiveError(f"density operator has trace {tr!r}")
 
 

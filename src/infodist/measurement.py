@@ -81,18 +81,22 @@ class PovmDiagnostics:
 
 def povm_validate(povm: POVM, tol: Tolerances = DEFAULT_TOL) -> PovmDiagnostics:
     """Report how far a POVM is from Hermitian, positive, complete."""
-    herm = 0.0
-    psd = 0.0
+    herms = []
+    psds = []
     zero = []
     total = np.zeros((povm.dim, povm.dim), dtype=complex)
     for b, e in enumerate(povm.effects):
         require_square(e)
-        herm = max(herm, float(np.abs(e - dagger(e)).max()))
-        w = np.linalg.eigvalsh((e + dagger(e)) / 2)
-        psd = max(psd, float(max(0.0, -w[0])))
+        herms.append(np.abs(e - dagger(e)).max())
+        # eigvalsh of a NaN matrix is unspecified (LAPACK returns zeros)
+        w = np.linalg.eigvalsh((e + dagger(e)) / 2) if np.isfinite(e).all() else np.full(povm.dim, np.nan)
+        psds.append(0.0 if w[0] >= 0 else -w[0])
         if w[-1] <= tol.psd_slack:
             zero.append(b)
         total += e
+    # np.max propagates NaN (Python's max drops it), and NaN fails the test below
+    herm = float(np.max(herms, initial=0.0))
+    psd = float(np.max(psds, initial=0.0))
     completeness = float(np.abs(total - np.eye(povm.dim)).max())
     ok = herm <= tol.algebraic and psd <= tol.psd_slack and completeness <= tol.reconstruction
     return PovmDiagnostics(herm, psd, completeness, tuple(zero), ok)
@@ -302,14 +306,6 @@ def random_povm(
         blocks.append(x @ dagger(x))
     s_inv = gen_inv_sqrt(sum(blocks))
     return POVM(d, tuple(s_inv @ g @ s_inv for g in blocks))
-
-
-def random_stinespring_isometry(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Random (k*d, d) isometry; its d x d blocks form a random channel."""
-    z = rng.standard_normal((k * d, d)) + 1j * rng.standard_normal((k * d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
 
 
 def isometry_kraus(m: np.ndarray) -> list[np.ndarray]:

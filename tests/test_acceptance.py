@@ -74,7 +74,7 @@ def run_twirl(seed=2, samples=10_000, n_states=5):
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         rho = x @ x.conj().T
         rho /= np.trace(rho).real
-        mean, stderr = qd.twirl_channel(basis, rho, samples, rng, return_stderr=True)
+        mean, stderr = qd.twirl_channel(basis, rho, samples, rng)
         results.append((rho, mean, stderr))
     payload = serialize.dumps(
         [

@@ -209,7 +209,7 @@ def test_samples_below_two_exit_2(command, samples, qubit_basis_file, capsys):
 
 
 def test_twirl_check_nan_ratio_fails(qubit_basis_file, capsys, monkeypatch):
-    def nan_stderr(povm, rho, n_samples, rng, return_stderr=False, tol=None):
+    def nan_stderr(povm, rho, n_samples, rng, tol=None):
         return rho, np.full(rho.shape, complex(np.nan, np.nan))
 
     monkeypatch.setattr(cli, "twirl_channel", nan_stderr)
@@ -228,3 +228,18 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mub", "--p", "3", "--threads", "2"])  # the no-op option is gone
     assert exc.value.code == 2
+
+    # the --tol-* overrides are gone: they could only loosen validation gates
+    required = {
+        "mub": ["--p", "3"],
+        "design-check": ["--in", "x.json"],
+        "disturbance": ["--povm", "x.json"],
+        "info": ["--povm", "x.json"],
+        "frontier": ["--d", "2"],
+        "twirl-check": ["--povm", "x.json"],
+    }
+    for command, argv in required.items():
+        for flag in ("--tol-algebraic", "--tol-reconstruction", "--tol-psd-slack"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *argv, flag, "2"])
+            assert exc.value.code == 2

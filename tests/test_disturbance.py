@@ -13,7 +13,7 @@ def identity_instrument(d):
 
 
 def test_pi_operator_entries_qubit():
-    pi = qd.pi_operator(2).matrix
+    pi = qd.pi_operator(2)
     # indices (i,j) -> i*2+j
     assert pi[0, 0] == pytest.approx(1.0 / 3.0)  # <00|Pi|00>
     assert pi[1, 1] == pytest.approx(1.0 / 6.0)  # <01|Pi|01>
@@ -27,7 +27,7 @@ def test_pair_moment_matches_tensor_contraction():
     # closed form against the explicit matrix on the tensor square
     rng = np.random.default_rng(30)
     for d in (2, 3, 5):
-        pi = qd.pi_operator(d).matrix
+        pi = qd.pi_operator(d)
         for _ in range(5):
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -48,7 +48,7 @@ def test_avg_fidelity_uniform_agrees_with_pi_contraction():
     rng = np.random.default_rng(31)
     povm = qd.random_povm(3, 4, rng)
     inst = qd.sqrt_instrument(povm)
-    pi = qd.pi_operator(3).matrix
+    pi = qd.pi_operator(3)
     oracle = sum(np.trace(pi @ np.kron(a, a.conj().T)).real for a in inst.kraus_ops())
     assert qd.avg_fidelity_uniform(inst).avg_fidelity == pytest.approx(oracle, abs=1e-12)
 

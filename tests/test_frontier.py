@@ -13,15 +13,9 @@ E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
 
 
-def random_density(d, rng):
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    g = x @ x.conj().T
-    return g / np.trace(g).real
-
-
 def test_depolarize_endpoints_and_fidelity():
     rng = np.random.default_rng(70)
-    rho = random_density(3, rng)
+    rho = qd.random_density(3, rng)
     assert np.abs(qd.depolarize(rho, 0.0) - rho).max() == 0.0
     assert np.abs(qd.depolarize(rho, 1.0) - np.eye(3) / 3).max() < 1e-12
 
@@ -38,7 +32,7 @@ def test_depolarizing_instrument_matches_formula():
     rng = np.random.default_rng(71)
     inst = qd.depolarizing_instrument(3, 0.4)
     assert qd.instrument_validate(inst) < 1e-12
-    rho = random_density(3, rng)
+    rho = qd.random_density(3, rng)
     assert np.abs(qd.apply_channel(inst, rho) - qd.depolarize(rho, 0.4)).max() < 1e-12
 
 
@@ -54,11 +48,30 @@ def test_covariance_check():
     assert qd.covariance_check(dephasing, np.eye(2, dtype=complex), rho) == 0.0
 
 
+def test_covariance_check_sampling_order_and_nan():
+    # each sampled pair draws its density first, then its unitary
+    dephasing = qd.sqrt_instrument(qd.basis_povm(3))
+    got = qd.covariance_check(dephasing, samples=4, rng=np.random.default_rng(77))
+    rng = np.random.default_rng(77)
+    residuals = []
+    for _ in range(4):
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        g = x @ x.conj().T
+        rho = g / np.trace(g).real
+        u = qd.haar_unitaries(3, 1, rng)[0]
+        rotated = u.conj().T @ qd.apply_channel(dephasing, u @ rho @ u.conj().T) @ u
+        residuals.append(float(np.abs(rotated - qd.apply_channel(dephasing, rho)).max()))
+    assert got == max(residuals) > 0.01
+
+    broken = qd.Instrument(2, ((np.array([[np.nan, 0], [0, 1]], dtype=complex),),))
+    assert np.isnan(qd.covariance_check(broken, samples=2, rng=np.random.default_rng(78)))
+
+
 def test_twirl_trivial_povm_is_identity_channel():
     rng = np.random.default_rng(73)
     trivial = qd.POVM(2, (np.eye(2, dtype=complex),))
-    rho = random_density(2, rng)
-    out = qd.twirl_channel(trivial, rho, 50, rng)
+    rho = qd.random_density(2, rng)
+    out, _ = qd.twirl_channel(trivial, rho, 50, rng)
     assert np.abs(out - rho).max() < 1e-12
 
 
@@ -68,7 +81,7 @@ def test_twirl_qubit_basis_depolarizes():
     p_star = qd.twirl_depolarizing_p(basis)
     assert p_star == pytest.approx(2.0 / 3.0, abs=1e-12)
     rho = qd.outer(E0)
-    mean, stderr = qd.twirl_channel(basis, rho, 10_000, rng, return_stderr=True)
+    mean, stderr = qd.twirl_channel(basis, rho, 10_000, rng)
     target = qd.depolarize(rho, p_star)
     diff = mean - target
     assert np.all(np.abs(diff.real) <= 5 * stderr.real + 1e-12)
@@ -87,10 +100,10 @@ def test_twirl_consistency_identities():
 
 
 def test_environment_model_and_state():
-    model = qd.environment_model(2, 0.5)
-    assert model.env_dim == 5
-    amp_flag = abs(model.initial_env[0]) ** 2
-    amp_pair = abs(model.initial_env[1]) ** 2
+    env = qd.environment_model(2, 0.5)
+    assert len(env) == 5
+    amp_flag = abs(env[0]) ** 2
+    amp_pair = abs(env[1]) ** 2
     assert amp_flag + 2 * amp_pair == pytest.approx(1.0, abs=1e-12)
 
     rng = np.random.default_rng(76)

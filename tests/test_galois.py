@@ -154,6 +154,14 @@ def test_mub_cross_overlaps_d9():
     assert unit < 1e-12 and dev < 1e-12
 
 
+def test_mub_validate_nan_propagates():
+    mub = qd.wootters_fields_mub(3, 1)
+    bases = [b.copy() for b in mub.bases]
+    bases[1][0, 0] = np.nan
+    unit, dev = qd.mub_validate(qd.MubSet(3, tuple(bases)))
+    assert np.isnan(unit) and np.isnan(dev)
+
+
 def test_mub_rejects_even_prime_and_cap():
     with pytest.raises(EvenPrimeError):
         qd.wootters_fields_mub(2, 1)

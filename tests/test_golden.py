@@ -1,0 +1,71 @@
+"""Golden outputs: sha256 of small seeded CLI runs.
+
+Every subcommand writes the same bytes for the same flags and seed, so a
+change that is meant to leave the numbers alone (a refactor, a deleted
+option) must leave these hashes alone too. A change that alters the math on
+purpose updates the hashes, and says so. The frontier hash, being the most
+floating-point-heavy, is specific to the numpy/BLAS build the hashes were
+taken on (numpy 2.4, OpenBLAS, x86-64).
+"""
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+import pytest
+
+import infodist as qd
+from infodist import serialize
+from infodist.cli import main
+
+GOLDEN = {
+    "mub": "6758aedce72bade9ba41bb71e878a41149054f1b93c8b7965ddb8620716820af",
+    "design-check": "a4ef62d1d9be85d4c4eece8059bb21185cd39bf37815bf113258b56bb158d04d",
+    "info-bits": "b6d55dc2853fd38b347105b85ae3c69657466d935e2203b82752af402654b9b8",
+    "disturbance-exact": "65b04cea36c81867ad4af3231687b40d514842e64fd0fec6a2bd245e0d3b6afb",
+    "disturbance-mc": "662d02914add1cc6524c7943b351fb7000f97a3e6a6674920ec47e1076fe1b4b",
+    "disturbance-design": "42728f3d2da653256cbda68258be5fa0ce43830370bb5e051a93ef3ec9a5bea7",
+    "twirl-check": "5b4e4faa43e27f772d94779fa4a9e719ef2bbb0314fa8d1a32873535b2b27078",
+    "frontier-csv": "2a9828bbb7825d648aefe0dcc05e9b1f0c37571f717c88096ebbe2d511df8a5e",
+    "frontier-json": "a094723cb5adcaa225db738d4226ef4698adaea9019549994847996d6589b42a",
+}
+
+
+def _write_povm(path, povm):
+    path.write_text(serialize.dumps(serialize.povm_to_json(povm)))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Digest of every golden run, by name."""
+    work = tmp_path_factory.mktemp("golden")
+    trine = _write_povm(work / "trine.json", qd.trine_povm())
+    rand3 = _write_povm(work / "rand3.json", qd.random_povm(3, 4, np.random.default_rng(2024)))
+    runs = {
+        "mub": ["mub", "--p", "3", "--n", "2"],
+        "info-bits": ["info", "--povm", trine, "--samples", "2000", "--seed", "1", "--bits"],
+        "twirl-check": ["twirl-check", "--povm", rand3, "--samples", "500", "--seed", "2"],
+        "frontier-csv": ["frontier", "--d", "2", "--grid", "2", "--restarts", "1", "--samples", "20",
+                         "--max-iter", "50", "--seed", "3", "--allow-nonconverged",
+                         "--json", str(work / "frontier-json")],  # fmt: skip
+    }
+    for method in ("exact", "mc", "design"):
+        runs[f"disturbance-{method}"] = ["disturbance", "--povm", rand3, "--method", method,
+                                         "--samples", "2000", "--seed", "4"]  # fmt: skip
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(work / name)]) == 0, name
+    digests = {name: hashlib.sha256((work / name).read_bytes()).hexdigest() for name in [*runs, "frontier-json"]}
+
+    # design-check prints its verdict to stdout rather than to --out
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["design-check", "--in", str(work / "mub"), "--trials", "20", "--seed", "5"]) == 0
+    digests["design-check"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(name, outputs):
+    assert outputs[name] == GOLDEN[name]

@@ -262,6 +262,40 @@ def test_haar_unitaries_bit_identical_to_per_matrix_loop():
             assert rng.random() == rng_ref.random()  # same stream position afterwards
 
 
+def test_samplers_bit_identical_to_separate_qr_code():
+    # haar_unitaries and random_stinespring_isometry each carried their own
+    # rephased QR before sharing one; these are those two bodies
+    def unitaries(d, n, rng):
+        g = rng.standard_normal((n, 2, d, d))
+        q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        return q * (diag / np.abs(diag))[:, None, :]
+
+    def isometry(d, k, rng):
+        z = rng.standard_normal((k * d, d)) + 1j * rng.standard_normal((k * d, d))
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r)
+        return q * (diag / np.abs(diag))
+
+    for d in (1, 2, 3, 5):
+        for m in (1, 2, 4):
+            rng, rng_ref = np.random.default_rng(d * 10 + m), np.random.default_rng(d * 10 + m)
+            assert np.array_equal(qd.haar_unitaries(d, m, rng), unitaries(d, m, rng_ref))
+            assert np.array_equal(qd.random_stinespring_isometry(d, m, rng), isometry(d, m, rng_ref))
+            assert rng.random() == rng_ref.random()
+
+
+def test_random_density_is_a_state_drawn_real_part_first():
+    rng, rng_ref = np.random.default_rng(15), np.random.default_rng(15)
+    for d in (1, 2, 4):
+        rho = qd.random_density(d, rng)
+        qd.validate_density(rho)
+        re = rng_ref.standard_normal((d, d))
+        x = re + 1j * rng_ref.standard_normal((d, d))
+        g = x @ x.conj().T
+        assert np.array_equal(rho, g / np.trace(g).real)
+
+
 def test_haar_unitary_twirl_schur():
     # Schur orthogonality: averaging U|0><0|U^dag gives I/d
     rng = np.random.default_rng(14)
@@ -289,3 +323,26 @@ def test_validate_pure_state_nan_and_tolerance():
     with pytest.raises(ValueError):
         qd.validate_pure_state(near)
     qd.validate_pure_state(near, qd.Tolerances(weight=1e-3))
+
+
+NAN = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+
+
+def test_nan_fails_the_hermiticity_gate():
+    # NaN compares False against the gate, and once passed as Hermitian:
+    # the support cutoff then turned the NaN eigenvalue into 0
+    for f in (qd.herm_eig, qd.mat_sqrt, qd.gen_inv_sqrt, qd.polar_decompose):
+        with pytest.raises(NonHermitianError):
+            f(NAN)
+    with pytest.raises(NonHermitianError):
+        qd.fidelity(NAN, np.eye(2, dtype=complex) / 2)
+    with pytest.raises(NonHermitianError):
+        qd.fidelity(np.eye(2, dtype=complex) / 2, NAN)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+def test_validate_density_rejects_nan(entry):
+    rho = np.eye(2, dtype=complex) / 2
+    rho[entry] = np.nan
+    with pytest.raises((NonHermitianError, NotPositiveError)):
+        qd.validate_density(rho)

@@ -40,6 +40,17 @@ def test_povm_validate_reports_violations():
     assert not diag.passed and diag.completeness_residual == pytest.approx(0.5)
 
 
+def test_povm_validate_nan_effect_fails():
+    # Python's max dropped the NaN: both residuals once read 0.0
+    e = 0.5 * np.eye(2, dtype=complex)
+    e[0, 1] = np.nan
+    diag = qd.povm_validate(qd.POVM(2, (e, np.eye(2) - e)))
+    assert np.isnan(diag.max_hermiticity_violation) and np.isnan(diag.max_psd_violation)
+    assert not diag.passed
+    # finite effects fold as before
+    assert qd.povm_validate(qd.trine_povm()).max_psd_violation == 0.0
+
+
 def test_sqrt_instrument_projectors_and_trine():
     inst = qd.sqrt_instrument(qd.basis_povm(2))
     assert np.abs(inst.branches[0][0] - qd.outer(E0)).max() < 1e-12
