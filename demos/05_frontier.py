@@ -1,18 +1,17 @@
 """Tracing the information-disturbance frontier for a qubit.
 
 The depolarizing reduction turns the frontier into a one-parameter family:
-for each mixing probability p the disturbance is exactly p(d-1)/d, and the
-best extractable information is the accessible information of the
-environment states left behind by a probabilistic-swap implementation.
-That optimization has no closed form; a see-saw ascent over environment
-POVMs produces certified lower bounds, compared here against the straight
-line joining the frontier endpoints.
+for each mixing probability p the disturbance is exactly p(d-1)/d. Every
+covariant square-root instrument is a mix of seeds U diag(sqrt(nu)) U†, so
+the best information at that disturbance is the upper concave envelope of
+the curve (phi(nu), J(nu)) over seed spectra, J the exact Haar average of
+q ln q. A multi-start ascent finds the envelope, two recorded seeds attain
+each point, and a Monte Carlo re-score checks them; the curve is compared
+here against the straight line joining the frontier endpoints.
 
-This demo uses a reduced budget so it finishes in about a minute; the CLI
-command `infodist frontier --d 2 --out curve.csv` runs the full defaults.
+This demo runs the CLI defaults on a 7-point grid in about a second; the
+command `infodist frontier --d 2 --out curve.csv` runs the 11-point grid.
 """
-
-import warnings
 
 import numpy as np
 
@@ -22,18 +21,17 @@ rng = np.random.default_rng(0)
 d = 2
 grid = list(np.linspace(0.0, d / (d + 1), 7))
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    points = qd.frontier_curve(d, grid, ensemble_size=120, restarts=6, rng=rng, max_iter=300)
+points = qd.frontier_curve(d, grid, samples=2000, restarts=16, rng=rng, max_iter=500)
 
 i_max = qd.info_finegrained_exact(d)
 print(f"qubit frontier, I_max = {i_max:.4f} nats\n")
-print(f"{'p':>6s} {'disturbance':>12s} {'info lower bd':>14s} {'straight line':>14s} {'ratio':>6s}")
+print(f"{'p':>6s} {'disturbance':>12s} {'information':>12s} {'MC re-score':>18s} {'straight line':>14s} {'ratio':>6s}")
 for pt in points:
     ratio = pt.info_lower_bound / pt.line_info if pt.line_info > 0 else float("nan")
-    print(f"{pt.p:6.3f} {pt.disturbance:12.6f} {pt.info_lower_bound:14.6f} "
-          f"{pt.line_info:14.6f} {ratio:6.3f}")
+    mc = pt.optimizer_meta["rescore"]
+    print(f"{pt.p:6.3f} {pt.disturbance:12.6f} {pt.info_lower_bound:12.6f} "
+          f"{mc['info']:9.5f} +- {mc['stderr']:.5f} {pt.line_info:14.6f} {ratio:6.3f}")
 
-print("\nThe lower bound clears the straight-line candidate at every interior")
-print("point, so the frontier bulges above the line: extra disturbance buys")
+print("\nThe frontier clears the straight-line candidate at every interior")
+print("point, so it bulges above the line: extra disturbance buys")
 print("information at a better rate near the ends than a naive mixture does.")

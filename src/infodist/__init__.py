@@ -72,6 +72,7 @@ from .disturbance import (
 )
 from .information import (
     InfoReport,
+    haar_xlogx,
     info_finegrained_exact,
     info_finite_ensemble,
     info_uniform_mc,
@@ -94,18 +95,12 @@ from .galois import (
     wootters_fields_mub,
 )
 from .frontier import (
-    AccessibleInfoResult,
     FrontierPoint,
-    accessible_info_lb,
     covariance_check,
     depolarize,
     depolarizing_instrument,
-    env_unitary_check,
-    environment_model,
-    environment_state,
     frontier_curve,
     line_candidate,
-    swap_dilation_unitary,
     twirl_channel,
     twirl_depolarizing_p,
 )

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -150,16 +149,14 @@ def cmd_frontier(args) -> int:
     if args.grid < 2:
         raise UsageError("grid needs at least two points")
     grid = list(np.linspace(0.0, args.d / (args.d + 1), args.grid))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        points = frontier_curve(
-            args.d,
-            grid,
-            ensemble_size=args.samples,
-            restarts=args.restarts,
-            rng=np.random.default_rng(_resolve_seed(args)),
-            max_iter=args.max_iter,
-        )
+    points = frontier_curve(
+        args.d,
+        grid,
+        samples=args.samples,
+        restarts=args.restarts,
+        rng=np.random.default_rng(_resolve_seed(args)),
+        max_iter=args.max_iter,
+    )
     _emit(serialize.frontier_to_csv(points), args.out)
     if args.json is not None:
         _emit(serialize.dumps(serialize.frontier_to_json(points)), args.json)
@@ -254,12 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_info)
     p_info.set_defaults(func=cmd_info)
 
-    p_fr = sub.add_parser("frontier", help="information-disturbance frontier lower bound")
+    p_fr = sub.add_parser("frontier", help="information-disturbance frontier of the uniform ensemble")
     p_fr.add_argument("--d", type=int, required=True)
     p_fr.add_argument("--grid", type=int, default=11, help="number of p values on [0, d/(d+1)]")
-    p_fr.add_argument("--samples", type=_at_least(1), default=200, help="ensemble discretization size")
-    p_fr.add_argument("--restarts", type=_at_least(1), default=16)
-    p_fr.add_argument("--max-iter", dest="max_iter", type=int, default=500)
+    p_fr.add_argument(
+        "--samples", type=_at_least(2), default=200, help="Haar states in each point's Monte Carlo re-score (JSON only)"
+    )
+    p_fr.add_argument("--restarts", type=_at_least(1), default=16, help="random starting spectra per grid point")
+    p_fr.add_argument("--max-iter", dest="max_iter", type=int, default=500, help="iteration budget of each ascent")
     p_fr.add_argument("--json", default=None, help="also write the JSON variant with optimizer metadata")
     p_fr.add_argument("--allow-nonconverged", action="store_true")
     _add_common(p_fr)

@@ -2,10 +2,16 @@
 
 Haar-twirling the square-root instrument of any POVM yields a depolarizing
 channel with the same minimal disturbance, so the frontier for the uniform
-ensemble can be traced by a one-parameter family: replace the state by I/d
-with probability p. The measurement side is pushed onto a (d^2+1)-dim
-environment (flag + entangled pair) and the best information for each p is
-lower-bounded by a see-saw ascent over environment POVMs.
+ensemble is traced by covariant instruments. Each has Kraus operators
+sqrt(m_k) U diag(sqrt(nu_k)) U† over Haar U, with weights sum_k m_k = 1 and
+seed spectra nu_k >= 0, sum_i nu_ki = d. Its information on the Haar
+ensemble is sum_k m_k J(nu_k), J(nu) = E_psi[q ln q] with
+q = sum_i nu_i |psi_i|^2 (``information.haar_xlogx``), and its twirl is the
+channel that replaces the state by I/d with probability p, where
+d^2 (1 - p) + p = sum_k m_k phi(nu_k) and phi(nu) = (sum_i sqrt(nu_i))^2.
+So the frontier at disturbance p(d-1)/d is the upper concave envelope of
+the planar curve {(phi(nu), J(nu))} at phi* = d^2 (1 - p) + p, and by
+Caratheodory in the plane a mix of at most two seeds attains it.
 """
 
 from __future__ import annotations
@@ -18,19 +24,9 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .disturbance import min_disturbance_uniform
 from .errors import ConvergenceWarning, DimMismatchError
-from .information import info_finegrained_exact, mutual_info
-from .linalg import (
-    dagger,
-    gen_inv_sqrt,
-    haar_states,
-    haar_unitaries,
-    mat_sqrt,
-    outer,
-    random_density,
-    validate_distribution,
-)
+from .information import haar_xlogx, info_finegrained_exact
+from .linalg import dagger, haar_states, haar_unitaries, mat_sqrt, random_density
 from .measurement import POVM, Instrument, apply_channel, basis_povm, convex_mix, sqrt_instrument
-from .galois import odd_prime_power, wootters_fields_mub
 
 
 def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
@@ -120,206 +116,141 @@ def twirl_channel(
     return mean, stderr
 
 
-# -- environment model --------------------------------------------------------
+# -- the envelope of the seed curve ---------------------------------------------
 
-
-def environment_model(d: int, p: float) -> np.ndarray:
-    """Initial environment vector in C^(d^2+1): a flag direction (index 0)
-    plus a d x d entangled block (indices 1 + i*d + k, row-major)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing probability must lie in [0, 1], got {p!r}")
-    env = np.zeros(d * d + 1, dtype=complex)
-    env[0] = np.sqrt(1.0 - p)
-    for i in range(d):
-        env[1 + i * d + i] = np.sqrt(p / d)
-    return env
-
-
-def environment_state(psi: np.ndarray, p: float) -> np.ndarray:
-    """Environment state left behind by the probabilistic-swap dilation of
-    the depolarizing channel on input |psi>.
-
-    (1-p)|F><F| + p |psi><psi| x I/d on the pair block, plus coherences
-    sqrt((1-p)p/d) between |F> and |psi> x |conj psi|. The second factor
-    carries the conjugate amplitudes: that is what the swap interaction
-    produces, as ``env_unitary_check`` verifies end to end.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing probability must lie in [0, 1], got {p!r}")
-    psi = np.asarray(psi, dtype=complex)
-    d = psi.shape[0]
-    dim = d * d + 1
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0 - p
-    rho[1:, 1:] = p * np.kron(outer(psi), np.eye(d) / d)
-    chi = np.kron(psi, psi.conj())
-    c = np.sqrt((1.0 - p) * p / d)
-    rho[1:, 0] = c * chi
-    rho[0, 1:] = c * chi.conj()
-    return rho
-
-
-def swap_dilation_unitary(d: int) -> np.ndarray:
-    """Unitary on system x environment ((d^3+d)-dim): swap the system with
-    the first environment factor on the pair block, identity on the flag."""
-    dim_e = d * d + 1
-    u = np.zeros((d * dim_e, d * dim_e))
-    for j in range(d):
-        u[j * dim_e, j * dim_e] = 1.0
-        for i in range(d):
-            for k in range(d):
-                u[i * dim_e + 1 + j * d + k, j * dim_e + 1 + i * d + k] = 1.0
-    return u
-
-
-def env_unitary_check(psi: np.ndarray, p: float) -> tuple[float, float]:
-    """Drive the swap dilation end to end and compare against the closed
-    forms. Returns (environment residual, system residual): max-entry
-    distances of the traced-out marginals from ``environment_state`` and
-    ``depolarize`` respectively."""
-    psi = np.asarray(psi, dtype=complex)
-    d = psi.shape[0]
-    env = environment_model(d, p)
-    joint = swap_dilation_unitary(d) @ np.kron(psi, env)
-    amp = joint.reshape(d, len(env))
-    rho_env = np.einsum("ai,aj->ij", amp, amp.conj())
-    rho_sys = np.einsum("ia,ja->ij", amp, amp.conj())
-    res_env = float(np.abs(rho_env - environment_state(psi, p)).max())
-    res_sys = float(np.abs(rho_sys - depolarize(outer(psi), p)).max())
-    return res_env, res_sys
-
-
-# -- accessible information lower bound ---------------------------------------
+# an ascent is stationary once its gradient along the sphere is this small: rounding in J
+# stops the climb near 1e-7, and at 1e-6 the objective is within ~1e-12 / curvature of the top
+_GRAD_STOP = 1e-6
+_GAP_STOP = 1e-10  # nats: duality gap at which a grid point counts as solved
+_PROBES = 60  # support slopes tried per grid point
 
 
 @dataclass(frozen=True)
-class AccessibleInfoResult:
+class _Seed:
+    """A point (phi, info) = (phi(nu), J(nu)) of the seed curve, nu = roots^2."""
+
+    roots: np.ndarray
+    phi: float
     info: float
-    povm: POVM
-    converged: bool
-    iterations: int
-    restarts: int
-    n_converged: int
+    slope: float  # lambda of the J + lambda phi it was found maximizing (flat spectrum: inf)
+    stationary: bool
 
 
-def _state_factors(states: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int]:
-    """Rows k_j, shape (a*r, dim), with rho_a = sum_j k_j k_j† over its r rows: the top r
-    eigencolumns times root eigenvalues, r the largest rank (support cutoff as in gen_inv_sqrt)."""
-    w, v = np.linalg.eigh(states)
-    w = np.where(w > np.maximum(states.shape[1] * w[:, -1:] * tol.support_rel, 0.0), w, 0.0)
-    r = max(int((w > 0).sum(axis=1).max()), 1)
-    factors = v[:, :, -r:] * np.sqrt(w[:, None, -r:])
-    return factors.transpose(0, 2, 1).reshape(-1, states.shape[1]), r
+def _ascend(roots: np.ndarray, lam: float, max_iter: int) -> tuple[_Seed, int]:
+    """Maximize J(s^2) + lam (sum s)^2 over s >= 0 on the sphere |s|^2 = d, from ``roots``.
 
-
-def _rank1_outcome_probs(rows_conj: np.ndarray, r: int, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p(c | state a) = sum_j |k_j† v_c|^2 for effects |v_c><v_c|, shape (a, c), and amplitudes k_j† v_c."""
-    amp = rows_conj @ vectors.T
-    return (amp.real**2 + amp.imag**2).reshape(-1, r, len(vectors)).sum(axis=1), amp
-
-
-def accessible_info_lb(
-    ensemble: list[tuple[np.ndarray, float]],
-    restarts: int = 16,
-    max_iter: int = 500,
-    rng: np.random.Generator | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> AccessibleInfoResult:
-    """Lower bound on the accessible information of a density-operator
-    ensemble, with the POVM achieving it.
-
-    See-saw ascent over rank-one POVMs. Effects |v_c><v_c| are seeded from
-    columns of Haar unitaries, the vectors are pushed along the mutual-
-    information gradient R_c = sum_a w_a ln(p(c|a)/p(c)) rho_a by
-    v_c -> (I + t R_c) v_c, and feasibility is restored by the symmetric
-    normalization S^{-1/2} applied to every vector (S the new effect sum).
-    Keeping the factored form makes positivity structural. Downhill steps
-    are rejected (backtracking on t), so the objective is monotone; the
-    best restart wins and ties go to the earliest. A restart has converged
-    once 10 iterations in a row gain less than 1e-9 nats.
+    In the roots s = sqrt(nu) the objective is smooth up to the simplex faces,
+    where phi's nu-gradient blows up. Barzilai-Borwein steps along the
+    projected gradient, retracted by |.| and rescaling, with backtracking
+    until uphill. Returns the end point and the iterations taken.
     """
-    if rng is None:
-        raise ValueError("an explicit rng is required for reproducibility")
-    weights = validate_distribution([w for _, w in ensemble], tol)
-    states = np.stack([np.asarray(r, dtype=complex) for r, _ in ensemble])
-    dim = states.shape[1]
-    rows, rank = _state_factors(states, tol)
-    rows_conj = rows.conj()
-    n_unitaries = max(dim - 1, 1)  # dim(dim-1) outcomes, the columns of dim-1 unitaries
-    gain_floor = 1e-9  # nats
-    patience = 10
-    eye = np.eye(dim, dtype=complex)
+    d = len(roots)
 
-    best: tuple[float, np.ndarray, bool, int] | None = None
-    n_converged = 0
-    for stream in rng.spawn(restarts):
-        blocks = haar_unitaries(dim, n_unitaries, stream)
-        vectors = np.concatenate([u.T for u in blocks], axis=0) / np.sqrt(n_unitaries)
-        p_cond, amp = _rank1_outcome_probs(rows_conj, rank, vectors)
-        info = mutual_info(p_cond, weights)
-        step = 1.0
-        stall = 0
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iter + 1):
-            p_c = weights @ p_cond
-            log_ratio = np.log(np.maximum(p_cond, 1e-300)) - np.log(np.maximum(p_c, 1e-300))
-            # R_c v_c = sum_a w_a ln(p(c|a)/p(c)) sum_j k_j (k_j† v_c)
-            coeff = (weights[:, None] * log_ratio)[:, None, :]
-            push = (coeff * amp.reshape(-1, rank, amp.shape[1])).reshape(amp.shape).T @ rows
-            scale = np.abs(push).max()
-            if scale > 0:
-                push = push / scale
+    def evaluate(s):
+        j, dj = haar_xlogx(s * s, gradient=True)
+        total = s.sum()
+        g = 2.0 * s * dj + 2.0 * lam * total
+        return j, j + lam * total * total, g - (g @ s / d) * s
 
-            # after a backtrack to t/2, the doubling probe asks for t again
-            tried: dict[float, tuple | None] = {}
-
-            def try_step(t: float):
-                if t not in tried:
-                    moved = vectors + t * push
-                    cand = moved @ gen_inv_sqrt(moved.T @ moved.conj(), tol).T
-                    tried[t] = None
-                    if np.abs(cand.T @ cand.conj() - eye).max() <= tol.reconstruction:  # False on NaN
-                        p_new, amp_new = _rank1_outcome_probs(rows_conj, rank, cand)
-                        tried[t] = mutual_info(p_new, weights), cand, p_new, amp_new
-                return tried[t]
-
-            # backtrack until uphill, then double greedily while still gaining
-            gained = None
-            t_try = step
-            for _ in range(40):
-                trial = try_step(t_try)
-                if trial is not None and trial[0] > info:
-                    gained = trial
-                    break
-                t_try /= 2
-                if t_try < 1e-14:
-                    break
-            if gained is not None:
-                for _ in range(12):
-                    trial = try_step(2 * t_try)
-                    if trial is None or not trial[0] > gained[0]:
-                        break
-                    t_try *= 2
-                    gained = trial
-                improvement = gained[0] - info
-                info, vectors, p_cond, amp = gained
-                step = min(t_try * 1.3, 32.0)
-                stall = stall + 1 if improvement < gain_floor else 0
-            else:
-                stall += 1
-            if stall >= patience:
-                converged = True
+    s = roots
+    j, f, g = evaluate(s)
+    step = 0.1
+    for it in range(max_iter):
+        if np.sqrt(g @ g) <= _GRAD_STOP:  # False on NaN
+            return _Seed(s, float(s.sum() ** 2), float(j), lam, True), it
+        while True:
+            trial = np.abs(s + step * g)
+            trial *= np.sqrt(d / (trial @ trial))
+            j_new, f_new, g_new = evaluate(trial)
+            if f_new > f:
                 break
-        n_converged += converged
-        if best is None or info > best[0]:
-            best = (info, vectors, converged, iterations)
+            step /= 2
+            if step < 1e-16:  # no uphill step left at this precision
+                return _Seed(s, float(s.sum() ** 2), float(j), lam, False), it + 1
+        ds, dg = trial - s, g_new - g
+        s, j, f, g = trial, j_new, f_new, g_new
+        curvature = -(ds @ dg)
+        step = (ds @ ds) / curvature if curvature > 0 else 2.0 * step
+    return _Seed(s, float(s.sum() ** 2), float(j), lam, bool(np.sqrt(g @ g) <= _GRAD_STOP)), max(max_iter, 0)
 
-    if n_converged == 0:
-        warnings.warn("no see-saw restart met the convergence test", ConvergenceWarning)
-    info, vectors, converged, iterations = best
-    povm = POVM(dim, tuple(outer(v) for v in vectors))
-    return AccessibleInfoResult(max(info, 0.0), povm, converged, iterations, restarts, n_converged)
+
+def _upper_hull(pool: list[_Seed]) -> list[_Seed]:
+    """Vertices of the upper concave envelope, by increasing phi, from the highest point on."""
+    hull: list[_Seed] = []
+    for z in sorted(pool, key=lambda z: (z.phi, -z.info)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (b.phi - a.phi) * (z.info - a.info) < (b.info - a.info) * (z.phi - a.phi):
+                break
+            hull.pop()
+        hull.append(z)
+    top = max(range(len(hull)), key=lambda k: hull[k].info)
+    return hull[top:]
+
+
+def _edge(hull: list[_Seed], phi: float) -> tuple[_Seed, _Seed, float]:
+    """The hull edge (a, b) over ``phi`` and the weight of b in the mix of a and b at ``phi``."""
+    phi = min(max(phi, hull[0].phi), hull[-1].phi)
+    k = next((k for k in range(1, len(hull) - 1) if phi <= hull[k].phi), len(hull) - 1)
+    a, b = hull[k - 1], hull[k]
+    return a, b, (phi - a.phi) / (b.phi - a.phi)
+
+
+def _envelope(hull: list[_Seed], phi: float) -> float:
+    a, b, w = _edge(hull, phi)
+    return a.info + w * (b.info - a.info)  # never above a.info: the hull falls from a to b
+
+
+def _solve(phi_star: float, pool: list[_Seed], starts: np.ndarray, max_iter: int) -> dict:
+    """Close the duality gap of the envelope at phi*, adding what is found to ``pool``,
+    whose first two seeds are the rank-one and the flat spectrum.
+
+    Each probe picks a slope lambda, ascends J + lambda phi from the ends of
+    the hull edge over phi* (and, on the first probe, from ``starts``), and
+    bounds the envelope by max_nu [J + lambda phi] - lambda phi* from above,
+    the maximum taken over every spectrum known, and by the hull from below. Probes alternate between the edge's own
+    slope, which ends the search on an edge of the true envelope, and a
+    secant step in lambda toward phi*, which converges fast where the curve
+    is itself concave.
+    """
+    iterations = ascents = n_stationary = 0
+    gap = np.inf
+    for probe in range(_PROBES):
+        a, b, _ = _edge(_upper_hull(pool), phi_star)
+        lam = (a.info - b.info) / (b.phi - a.phi)
+        if probe % 2 and a.slope < b.slope < np.inf:
+            lam = a.slope + (b.slope - a.slope) * (phi_star - a.phi) / (b.phi - a.phi)
+        found = []
+        for s in [*starts, a.roots, b.roots]:
+            seed, its = _ascend(s, lam, max_iter)
+            found.append(seed)
+            iterations += its
+            ascents += 1
+            n_stationary += seed.stationary
+        starts = []
+        # J <= I_max (Jones) and phi <= d^2 (Cauchy-Schwarz): a spectrum found on or past either
+        # bound is the rank-one or the flat one up to rounding, already in the pool exactly
+        pool.extend(z for z in found if z.info < pool[0].info and z.phi < pool[1].phi)
+        hull = _upper_hull(pool)
+        upper = max(z.info + lam * (z.phi - phi_star) for z in [*hull, *found])
+        gap = upper - _envelope(hull, phi_star)
+        if gap <= _GAP_STOP:
+            break
+    return {
+        "ascents": ascents,
+        "converged": bool(gap <= _GAP_STOP and n_stationary == ascents),
+        "gap": float(gap),
+        "iterations": iterations,
+        "n_converged": n_stationary,
+        "probes": probe + 1,
+    }
+
+
+def _rescore(spectra: np.ndarray, weights: np.ndarray, samples: int, rng: np.random.Generator):
+    """Monte Carlo estimate of sum_k m_k E_psi[q_k ln q_k] over Haar states, with its stderr."""
+    q = np.abs(haar_states(spectra.shape[1], samples, rng)) ** 2 @ spectra.T
+    x = (q * np.log(np.where(q > 0, q, 1.0))) @ weights
+    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(samples))
 
 
 # -- the frontier --------------------------------------------------------------
@@ -357,67 +288,75 @@ def line_candidate(d: int, alpha_grid: list[float], tol: Tolerances = DEFAULT_TO
 def frontier_curve(
     d: int,
     p_grid: list[float],
-    ensemble_size: int = 200,
+    samples: int = 200,
     restarts: int = 16,
     rng: np.random.Generator | None = None,
     max_iter: int = 500,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> list[FrontierPoint]:
-    """Information-disturbance frontier lower bound for the uniform ensemble.
+    """Information-disturbance frontier of the uniform (Haar) ensemble.
 
-    For each mixing probability p the disturbance is exactly p(d-1)/d; the
-    information is a see-saw lower bound on the accessible information of
-    the final environment states, with the continuum of inputs approximated
-    either by Haar samples or, when d is an odd prime power, by the
-    unbiased-bases design. ``line_info`` is the straight-line candidate
-    rescaled to the same parameter. Points are post-processed to be
-    monotone (cumulative max); raw dips beyond 1e-3 trigger a warning.
+    For each mixing probability p the disturbance is exactly p(d-1)/d and
+    the information is the envelope of the seed curve at d^2(1-p) + p (see
+    the module docstring), evaluated exactly by ``haar_xlogx``. Each grid
+    point with p > 0 searches for the envelope from ``restarts`` random
+    spectra, ascents of at most ``max_iter`` iterations each; the rank-one
+    and flat spectra are always candidates. One hull over every spectrum
+    found gives all points, so the curve is concave by construction, and
+    each value is attained by the at most two seeds recorded in its
+    ``optimizer_meta``. Those seeds are re-scored by Monte Carlo over
+    ``samples`` Haar states, a check that does not enter the reported value.
+    Warnings raised while solving a point are recorded in its metadata and
+    raised again. ``line_info`` is the straight-line candidate rescaled to
+    the same parameter.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
+    if samples < 2:
+        raise ValueError("need at least two samples for a standard error")
     p_max = d / (d + 1)
     for p in p_grid:
         if not -1e-12 <= p <= p_max + 1e-12:
             raise ValueError(f"p={p!r} outside [0, {p_max}]")
-    pp = odd_prime_power(d)
-    if pp is not None:
-        states = wootters_fields_mub(*pp).vectors()
-    else:
-        states = haar_states(d, ensemble_size, rng)
     i_max = info_finegrained_exact(d)
+    rank_one = np.zeros(d)
+    rank_one[0] = np.sqrt(d)
+    pool = [
+        _Seed(rank_one, float(d), i_max, 0.0, True),  # J's maximum (Jones), the fine-grained measurement
+        _Seed(np.ones(d), float(d * d), 0.0, np.inf, True),  # q = 1: the identity instrument
+    ]
 
-    points: list[FrontierPoint] = []
-    running_max = 0.0
+    metas = []
+    rescore_streams = []
     for p, stream in zip(p_grid, rng.spawn(len(p_grid))):
-        disturbance = p * (d - 1) / d
-        line_info = i_max * p * (d + 1) / d
-        if p == 0.0:
-            # point mass ensemble: no information at zero mixing
-            points.append(FrontierPoint(0.0, 0.0, 0.0, 0.0, {"restarts": 0, "iterations": 0, "converged": True, "raw_info": 0.0, "n_converged": 0}))
-            continue
-        ensemble = [(environment_state(psi, p), 1.0 / len(states)) for psi in states]
-        result = accessible_info_lb(
-            ensemble, restarts=restarts, max_iter=max_iter, rng=stream, tol=tol
-        )
-        raw = result.info
-        if raw < running_max - 1e-3:
-            warnings.warn(
-                f"frontier info dipped by {running_max - raw:.2e} at p={p:.4f}", ConvergenceWarning
-            )
-        running_max = max(running_max, raw)
-        points.append(
-            FrontierPoint(
-                p,
-                disturbance,
-                running_max,
-                line_info,
-                {
-                    "restarts": result.restarts,
-                    "iterations": result.iterations,
-                    "converged": result.converged,
-                    "raw_info": raw,
-                    "n_converged": result.n_converged,
-                },
-            )
-        )
+        search, rescore = stream.spawn(2)
+        rescore_streams.append(rescore)
+        meta = {"ascents": 0, "converged": True, "gap": 0.0, "iterations": 0, "n_converged": 0, "probes": 0, "restarts": 0}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if p > 0:  # at p = 0 only the flat spectrum has phi = d^2
+                starts = np.sqrt(search.dirichlet(np.ones(d), restarts) * d)
+                meta = {**_solve(d * d * (1 - p) + p, pool, starts, max_iter), "restarts": restarts}
+                if not meta["converged"]:
+                    warnings.warn(
+                        f"frontier point p={p:.4f} not solved: {meta['n_converged']} of {meta['ascents']} "
+                        f"ascents stationary, duality gap {meta['gap']:.2e} nats",
+                        ConvergenceWarning,
+                    )
+        meta["warnings"] = [str(w.message) for w in caught]
+        metas.append(meta)
+        for w in caught:
+            warnings.warn(w.message, stacklevel=2)
+
+    hull = _upper_hull(pool)
+    points = []
+    for p, meta, rescore in zip(p_grid, metas, rescore_streams):
+        phi_star = d * d * (1 - p) + p
+        a, b, w = _edge(hull, phi_star)
+        seeds = [(1.0 - w, a), (w, b)] if 0.0 < w < 1.0 else [(1.0, b if w else a)]
+        spectra = np.stack([z.roots**2 for _, z in seeds])
+        weights = np.array([m for m, _ in seeds])
+        mc_info, mc_stderr = _rescore(spectra, weights, samples, rescore)
+        meta["seeds"] = [{"weight": m, "spectrum": (z.roots**2).tolist()} for m, z in seeds]
+        meta["rescore"] = {"info": mc_info, "stderr": mc_stderr, "samples": samples}
+        points.append(FrontierPoint(p, p * (d - 1) / d, _envelope(hull, phi_star), i_max * p * (d + 1) / d, meta))
     return points

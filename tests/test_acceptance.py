@@ -95,7 +95,7 @@ def run_frontier(seed=0):
     grid = list(np.linspace(0.0, 2.0 / 3.0, 11))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        points = qd.frontier_curve(2, grid, ensemble_size=200, restarts=16, rng=rng, max_iter=500)
+        points = qd.frontier_curve(2, grid, samples=200, restarts=16, rng=rng, max_iter=500)
     return points, serialize.frontier_to_csv(points).encode(), time.perf_counter() - t0
 
 

@@ -183,12 +183,36 @@ def test_frontier_nonconverged_soft_failure(tmp_path):
 @pytest.mark.parametrize("option", ["--restarts", "--samples"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_frontier_empty_budget_exit_2(option, value, capsys):
-    # --restarts 0 once ended in a TypeError traceback, --samples 0 in a "weights" error
+    # --restarts 0 once ended in a TypeError traceback, --samples 0 in a "weights" error;
+    # --samples is now the re-score size, and a standard error needs two samples
     with pytest.raises(SystemExit) as exc:
         main(["frontier", "--d", "2", "--grid", "2", option, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"{option}: must be at least 1" in err and "Traceback" not in err
+    least = 2 if option == "--samples" else 1
+    assert f"{option}: must be at least {least}" in err and "Traceback" not in err
+
+
+def test_frontier_samples_only_size_the_rescore(tmp_path):
+    # --samples was once silently ignored at odd prime powers; now it sizes the Monte Carlo
+    # re-score in the JSON and leaves the CSV alone
+    out = {}
+    for samples in ("50", "200"):
+        csv_path, json_path = tmp_path / f"{samples}.csv", tmp_path / f"{samples}.json"
+        assert main(["frontier", "--d", "3", "--grid", "3", "--restarts", "2", "--samples", samples,
+                     "--out", str(csv_path), "--json", str(json_path)]) == 0  # fmt: skip
+        out[samples] = csv_path.read_bytes(), json.loads(json_path.read_text())
+    assert out["50"][0] == out["200"][0]
+    rescores = {k: [pt["optimizer_meta"]["rescore"] for pt in v[1]] for k, v in out.items()}
+    assert [r["samples"] for r in rescores["50"]] == [50] * 3 and [r["samples"] for r in rescores["200"]] == [200] * 3
+    assert rescores["50"][1]["info"] != rescores["200"][1]["info"]
+
+
+@pytest.mark.parametrize("d", ["2", "3"])
+def test_frontier_defaults_converge(d, tmp_path, capsys):
+    assert main(["frontier", "--d", d, "--out", str(tmp_path / "c.csv")]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    assert all(line.endswith(",true") for line in (tmp_path / "c.csv").read_text().splitlines()[1:])
 
 
 def test_twirl_check(qubit_basis_file, capsys):
@@ -198,12 +222,13 @@ def test_twirl_check(qubit_basis_file, capsys):
     assert report["p_star"] == pytest.approx(2 / 3, abs=1e-12)
 
 
-@pytest.mark.parametrize("command", ["twirl-check", "info", "disturbance"])
+@pytest.mark.parametrize("command", ["twirl-check", "info", "disturbance", "frontier"])
 @pytest.mark.parametrize("samples", ["1", "0", "-5"])
 def test_samples_below_two_exit_2(command, samples, qubit_basis_file, capsys):
     # a standard error needs two samples; one sample once passed twirl-check on a NaN
+    required = ["--d", "2"] if command == "frontier" else ["--povm", qubit_basis_file]
     with pytest.raises(SystemExit) as exc:
-        main([command, "--povm", qubit_basis_file, "--samples", samples])
+        main([command, *required, "--samples", samples])
     assert exc.value.code == 2
     assert "--samples: must be at least 2" in capsys.readouterr().err
 

@@ -1,16 +1,70 @@
-import warnings
+import json
 
 import numpy as np
 import pytest
 
 import infodist as qd
-from infodist.config import DEFAULT_TOL
 from infodist.errors import ConvergenceWarning
-from infodist import frontier
-from infodist.frontier import _rank1_outcome_probs, _state_factors
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
+
+
+# -- oracles: the probabilistic-swap dilation of the depolarizing channel --------
+
+
+def environment_model(d, p):
+    """Initial environment vector in C^(d^2+1): a flag direction (index 0)
+    plus a d x d entangled block (indices 1 + i*d + k, row-major)."""
+    env = np.zeros(d * d + 1, dtype=complex)
+    env[0] = np.sqrt(1.0 - p)
+    for i in range(d):
+        env[1 + i * d + i] = np.sqrt(p / d)
+    return env
+
+
+def environment_state(psi, p):
+    """Environment state left behind by the probabilistic-swap dilation on input |psi>:
+    (1-p)|F><F| + p |psi><psi| x I/d on the pair block, plus coherences
+    sqrt((1-p)p/d) between |F> and |psi> x |conj psi|."""
+    psi = np.asarray(psi, dtype=complex)
+    d = psi.shape[0]
+    rho = np.zeros((d * d + 1, d * d + 1), dtype=complex)
+    rho[0, 0] = 1.0 - p
+    rho[1:, 1:] = p * np.kron(qd.outer(psi), np.eye(d) / d)
+    chi = np.kron(psi, psi.conj())
+    c = np.sqrt((1.0 - p) * p / d)
+    rho[1:, 0] = c * chi
+    rho[0, 1:] = c * chi.conj()
+    return rho
+
+
+def swap_dilation_unitary(d):
+    """Unitary on system x environment ((d^3+d)-dim): swap the system with
+    the first environment factor on the pair block, identity on the flag."""
+    dim_e = d * d + 1
+    u = np.zeros((d * dim_e, d * dim_e))
+    for j in range(d):
+        u[j * dim_e, j * dim_e] = 1.0
+        for i in range(d):
+            for k in range(d):
+                u[i * dim_e + 1 + j * d + k, j * dim_e + 1 + i * d + k] = 1.0
+    return u
+
+
+def env_unitary_check(psi, p):
+    """(environment residual, system residual) of the swap dilation driven end to end,
+    against ``environment_state`` and ``depolarize``."""
+    psi = np.asarray(psi, dtype=complex)
+    d = psi.shape[0]
+    env = environment_model(d, p)
+    amp = (swap_dilation_unitary(d) @ np.kron(psi, env)).reshape(d, len(env))
+    rho_env = np.einsum("ai,aj->ij", amp, amp.conj())
+    rho_sys = np.einsum("ia,ja->ij", amp, amp.conj())
+    return (
+        float(np.abs(rho_env - environment_state(psi, p)).max()),
+        float(np.abs(rho_sys - qd.depolarize(qd.outer(psi), p)).max()),
+    )
 
 
 def test_depolarize_endpoints_and_fidelity():
@@ -100,7 +154,7 @@ def test_twirl_consistency_identities():
 
 
 def test_environment_model_and_state():
-    env = qd.environment_model(2, 0.5)
+    env = environment_model(2, 0.5)
     assert len(env) == 5
     amp_flag = abs(env[0]) ** 2
     amp_pair = abs(env[1]) ** 2
@@ -108,154 +162,65 @@ def test_environment_model_and_state():
 
     rng = np.random.default_rng(76)
     psi = qd.haar_state(2, rng)
-    rho0 = qd.environment_state(psi, 0.0)
+    rho0 = environment_state(psi, 0.0)
     expected = np.zeros((5, 5), dtype=complex)
     expected[0, 0] = 1.0
     assert np.abs(rho0 - expected).max() == 0.0
 
-    rho1 = qd.environment_state(psi, 1.0)
+    rho1 = environment_state(psi, 1.0)
     assert abs(rho1[0, 0]) == 0.0
     assert np.abs(rho1[1:, 1:] - np.kron(qd.outer(psi), np.eye(2) / 2)).max() < 1e-12
 
     for _ in range(100):
         d = int(rng.integers(2, 4))
         p = float(rng.uniform())
-        rho = qd.environment_state(qd.haar_state(d, rng), p)
+        rho = environment_state(qd.haar_state(d, rng), p)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
 def test_env_unitary_check_end_to_end():
     rng = np.random.default_rng(77)
-    res_env, res_sys = qd.env_unitary_check(E0, 0.5)
+    res_env, res_sys = env_unitary_check(E0, 0.5)
     assert res_env < 1e-10 and res_sys < 1e-10
     for d in (2, 3):
         for p in (0.0, 0.25, 0.8, 1.0):
-            res_env, res_sys = qd.env_unitary_check(qd.haar_state(d, rng), p)
+            res_env, res_sys = env_unitary_check(qd.haar_state(d, rng), p)
             assert res_env < 1e-10
             assert res_sys < 1e-10
 
 
 def test_swap_dilation_is_unitary():
     for d in (2, 3):
-        u = qd.swap_dilation_unitary(d)
+        u = swap_dilation_unitary(d)
         assert np.abs(u @ u.T - np.eye(d * (d * d + 1))).max() == 0.0
 
 
-def test_accessible_info_trivial_and_orthogonal():
-    rng = np.random.default_rng(78)
-    same = [(qd.outer(E0), 0.5), (qd.outer(E0), 0.5)]
-    res = qd.accessible_info_lb(same, restarts=2, max_iter=50, rng=rng)
-    assert abs(res.info) < 1e-9
-
-    pair = [(qd.outer(E0), 0.5), (qd.outer(E1), 0.5)]
-    res = qd.accessible_info_lb(pair, restarts=4, max_iter=300, rng=rng)
-    assert res.info == pytest.approx(np.log(2), abs=1e-6)
-    assert qd.povm_validate(res.povm).passed
-
-
-def test_accessible_info_more_restarts_never_worse():
-    rng = np.random.default_rng(79)
-    states = qd.haar_states(2, 40, rng)
-    ens = [(qd.environment_state(psi, 0.5), 1 / 40) for psi in states]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        few = qd.accessible_info_lb(ens, restarts=2, max_iter=60, rng=np.random.default_rng(5))
-        many = qd.accessible_info_lb(ens, restarts=6, max_iter=60, rng=np.random.default_rng(5))
-    assert many.info >= few.info - 1e-12
-
-
-KERNEL_CASES = [(d, p) for d in (2, 3) for p in (0.25, 0.5, d / (d + 1))] + [(2, None), (3, None)]
-
-
-@pytest.mark.parametrize("d,p", KERNEL_CASES)
-def test_factored_kernels_match_dense_reference(d, p):
-    # p=None: a rank-one ensemble of pure states; otherwise rank-d environment states
-    rng = np.random.default_rng(83)
-    psis = qd.haar_states(d, 25, rng)
-    if p is None:
-        states, rank = np.stack([qd.outer(psi) for psi in psis]), 1
-    else:
-        states, rank = np.stack([qd.environment_state(psi, p) for psi in psis]), d
-    dim = states.shape[1]
-    rows, r = _state_factors(states, DEFAULT_TOL)
-    assert r == rank and rows.shape == (len(states) * r, dim)
-    k = rows.reshape(len(states), r, dim)
-    assert np.abs(np.einsum("ajd,aje->ade", k, k.conj()) - states).max() < 1e-13
-
-    vectors = np.concatenate([u.T for u in qd.haar_unitaries(dim, 2, rng)]) / np.sqrt(2)
-    probs, amp = _rank1_outcome_probs(rows.conj(), r, vectors)
-    dense = np.einsum("cd,ade,ce->ac", vectors.conj(), states, vectors).real
-    assert np.abs(probs - dense).max() < 1e-13
-    # the see-saw's push sum_a coeff[a, c] rho_a v_c, from the amplitudes it already has
-    coeff = rng.standard_normal((len(states), len(vectors)))
-    push = (np.repeat(coeff, r, axis=0) * amp).T @ rows
-    assert np.abs(push - np.einsum("ac,ade,ce->cd", coeff, states, vectors)).max() < 1e-13
-
-
-def test_accessible_info_pinned_results():
-    # values and step counts of the see-saw with dense-einsum kernels, before factoring
-    states = qd.haar_states(2, 30, np.random.default_rng(84))
-    ens = [(qd.environment_state(psi, 0.5), 1 / 30) for psi in states]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        res = qd.accessible_info_lb(ens, restarts=2, max_iter=60, rng=np.random.default_rng(85))
-    assert res.info == pytest.approx(0.1962125482357453, abs=1e-12)
-    assert (res.iterations, res.n_converged, res.converged) == (60, 0, False)
-
-    mub = qd.wootters_fields_mub(3, 1).vectors()
-    ens = [(qd.environment_state(psi, 0.5), 1 / 12) for psi in mub]
-    res = qd.accessible_info_lb(ens, restarts=3, max_iter=300, rng=np.random.default_rng(86))
-    assert res.info == pytest.approx(0.30583802106787594, abs=1e-12)
-    assert (res.iterations, res.n_converged, res.converged) == (138, 3, True)
-
-
-def test_accessible_info_one_evaluation_per_step_size(monkeypatch):
-    # the runs of test_accessible_info_pinned_results took 291 and 1,004 S^{-1/2} evaluations
-    # while the doubling probe after a backtrack re-tried the step size just rejected (51 and 172 times)
-    calls = []
-    real = frontier.gen_inv_sqrt
-    monkeypatch.setattr(frontier, "gen_inv_sqrt", lambda p, tol: calls.append(1) or real(p, tol))
-    states = qd.haar_states(2, 30, np.random.default_rng(84))
-    ens = [(qd.environment_state(psi, 0.5), 1 / 30) for psi in states]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        qd.accessible_info_lb(ens, restarts=2, max_iter=60, rng=np.random.default_rng(85))
-    assert len(calls) == 291 - 51
-
-    calls.clear()
-    mub = qd.wootters_fields_mub(3, 1).vectors()
-    ens = [(qd.environment_state(psi, 0.5), 1 / 12) for psi in mub]
-    qd.accessible_info_lb(ens, restarts=3, max_iter=300, rng=np.random.default_rng(86))
-    assert len(calls) == 1004 - 172
-
-
-def test_accessible_info_rejects_nan_step(monkeypatch):
-    # a NaN S^{-1/2} must fail the feasibility check before its probabilities are scored
-    calls = []
-    real_inv_sqrt, real_mutual_info = frontier.gen_inv_sqrt, frontier.mutual_info
-
-    def inv_sqrt(p, tol):
-        calls.append(1)
-        out = real_inv_sqrt(p, tol)
-        return np.full_like(out, np.nan) if len(calls) == 3 else out
-
-    scored_nan = []
-
-    def mutual_info(p_cond, weights):
-        scored_nan.append(bool(np.isnan(p_cond).any()))
-        return real_mutual_info(p_cond, weights)
-
-    monkeypatch.setattr(frontier, "gen_inv_sqrt", inv_sqrt)
-    monkeypatch.setattr(frontier, "mutual_info", mutual_info)
-    states = qd.haar_states(2, 30, np.random.default_rng(87))
-    ens = [(qd.environment_state(psi, 0.5), 1 / 30) for psi in states]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        res = qd.accessible_info_lb(ens, restarts=1, max_iter=20, rng=np.random.default_rng(88))
-    assert len(calls) > 3 and not any(scored_nan)
-    assert np.isfinite(res.info) and res.info > 0
-    assert all(np.isfinite(e).all() for e in res.povm.effects) and qd.povm_validate(res.povm).passed
+def test_covariant_seed_reduces_environment_overlap():
+    # a covariant environment POVM with seeds phi_k = (f_k, G_k) has outcome density
+    # <phi_k|env(psi, p)|phi_k> = <psi|A_k A_k†|psi>, A_k = sqrt(1-p) f_k I + sqrt(p/d) G_k;
+    # completeness: orthonormal (flag, maximally entangled) columns t_k = (f_k, tr G_k / sqrt d),
+    # and traceless parts of total norm d^2 - 1
+    rng = np.random.default_rng(90)
+    for d in (2, 3, 4):
+        for p in (0.2, 0.5, d / (d + 1)):
+            k = 5
+            t = np.linalg.qr(rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2)))[0]
+            h = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+            h -= np.trace(h, axis1=1, axis2=2)[:, None, None] * np.eye(d) / d
+            h *= np.sqrt((d * d - 1) / (np.abs(h) ** 2).sum())
+            f = t[:, 0]
+            g = t[:, 1, None, None] * np.eye(d) / np.sqrt(d) + h
+            a = np.sqrt(1 - p) * f[:, None, None] * np.eye(d) + np.sqrt(p / d) * g
+            assert (np.abs(a) ** 2).sum() == pytest.approx(d, abs=1e-12)
+            assert (np.abs(np.trace(a, axis1=1, axis2=2)) ** 2).sum() == pytest.approx(d * d * (1 - p) + p, abs=1e-12)
+            for psi in qd.haar_states(d, 4, rng):
+                rho = environment_state(psi, p)
+                for fk, gk, ak in zip(f, g, a):
+                    phi = np.concatenate([[fk], gk.ravel()])
+                    env = (phi.conj() @ rho @ phi).real
+                    sys_side = (psi.conj() @ ak @ ak.conj().T @ psi).real
+                    assert abs(env - sys_side) < 1e-13
 
 
 def test_line_candidate():
@@ -283,9 +248,7 @@ def test_line_candidate_matches_closed_form_other_dims():
 def test_frontier_curve_small_budget():
     rng = np.random.default_rng(80)
     grid = [0.0, 1.0 / 3.0, 2.0 / 3.0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        points = qd.frontier_curve(2, grid, ensemble_size=40, restarts=3, rng=rng, max_iter=120)
+    points = qd.frontier_curve(2, grid, samples=40, restarts=3, rng=rng, max_iter=120)
     assert points[0].p == 0.0
     assert points[0].disturbance == 0.0 and points[0].info_lower_bound == 0.0
     assert points[-1].disturbance == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -298,16 +261,112 @@ def test_frontier_curve_small_budget():
         )
 
 
-def test_frontier_curve_uses_design_for_qutrits():
+def test_frontier_curve_qutrits_use_the_haar_ensemble():
+    # the d=3 values are those of the Haar ensemble; the 12 MUB vectors gave 0.405 > I_max(3) at p = 3/4
     rng = np.random.default_rng(81)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        points = qd.frontier_curve(3, [0.0, 0.375, 0.75], restarts=2, rng=rng, max_iter=80)
+    points = qd.frontier_curve(3, [0.0, 0.375, 0.75], restarts=2, rng=rng, max_iter=80)
     assert points[-1].disturbance == pytest.approx(0.5, abs=1e-12)
-    assert points[-1].info_lower_bound > 0.0
+    assert points[-1].info_lower_bound == qd.info_finegrained_exact(3)
+    assert points[1].info_lower_bound == pytest.approx(0.1752834, abs=1e-6)
 
 
 def test_frontier_curve_rejects_bad_grid():
     rng = np.random.default_rng(82)
     with pytest.raises(ValueError):
         qd.frontier_curve(2, [0.9], rng=rng)
+    with pytest.raises(ValueError):
+        qd.frontier_curve(2, [0.5], samples=1, rng=rng)
+
+
+def _phi(spectrum):
+    return np.sqrt(spectrum).sum() ** 2
+
+
+def test_frontier_seed_model_optima():
+    # the two-seed covariant optima, found earlier by a direct search over seed vectors
+    d2 = qd.frontier_curve(2, [2 / 15, 1 / 3], rng=np.random.default_rng(91))
+    assert d2[0].info_lower_bound == pytest.approx(0.0624233, abs=1e-6)
+    assert d2[1].info_lower_bound == pytest.approx(0.1374583, abs=1e-6)
+    d3 = qd.frontier_curve(3, [3 / 8], rng=np.random.default_rng(92))
+    assert d3[0].info_lower_bound == pytest.approx(0.1752834, abs=1e-6)
+
+
+def test_frontier_endpoint_is_i_max():
+    # Jones: no measurement beats the fine-grained one; the endpoint reaches it without a clamp
+    for d in (2, 3, 4, 5):
+        last = qd.frontier_curve(d, [d / (d + 1)], restarts=4, rng=np.random.default_rng(93))[0]
+        assert last.info_lower_bound <= qd.info_finegrained_exact(d)
+        assert last.info_lower_bound == pytest.approx(qd.info_finegrained_exact(d), abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_frontier_nondecreasing_and_concave(d):
+    grid = list(np.linspace(0.0, d / (d + 1), 11))
+    infos = np.array([pt.info_lower_bound for pt in qd.frontier_curve(d, grid, restarts=4, rng=np.random.default_rng(d))])
+    assert np.all(np.diff(infos) >= 0)
+    assert np.all(np.diff(infos, 2) <= 1e-15)  # equal spacing: concave iff second differences <= 0
+
+
+def _hull_value(x, y, at):
+    """Upper concave envelope of the points (x, y), evaluated at ``at``."""
+    hull = []
+    for point in sorted(zip(x, y)):
+        while len(hull) >= 2 and (hull[-1][0] - hull[-2][0]) * (point[1] - hull[-2][1]) >= (
+            hull[-1][1] - hull[-2][1]
+        ) * (point[0] - hull[-2][0]):
+            hull.pop()
+        hull.append(point)
+    hx, hy = np.array(hull).T
+    return np.interp(at, hx, hy)
+
+
+def test_frontier_d2_matches_dense_hull_oracle():
+    # for d=2 the seeds are nu = (1+a, 1-a), and J has the closed form
+    # (F(nu_1) - F(nu_2)) / (nu_1 - nu_2), F(q) = q^2 ln q / 2 - q^2 / 4
+    a = np.linspace(0.0, 1.0, 20_000)[1:]
+    hi, lo = 1 + a, 1 - a
+
+    def big_f(q):
+        return q * q * np.log(np.where(q > 0, q, 1.0)) / 2 - q * q / 4
+
+    j = np.concatenate([[0.0], (big_f(hi) - big_f(lo)) / (hi - lo)])
+    phi = np.concatenate([[4.0], (np.sqrt(hi) + np.sqrt(lo)) ** 2])
+    grid = list(np.linspace(0.0, 2 / 3, 11))
+    points = qd.frontier_curve(2, grid, rng=np.random.default_rng(94))
+    oracle = _hull_value(phi, j, [4 * (1 - p) + p for p in grid])
+    assert np.abs(np.array([pt.info_lower_bound for pt in points]) - oracle).max() < 1e-7
+
+
+def test_frontier_seeds_reproduce_each_point():
+    for d in (2, 3):
+        grid = list(np.linspace(0.0, d / (d + 1), 6))
+        for pt in qd.frontier_curve(d, grid, restarts=4, rng=np.random.default_rng(95)):
+            seeds = pt.optimizer_meta["seeds"]
+            assert 1 <= len(seeds) <= 2 and sum(s["weight"] for s in seeds) == pytest.approx(1.0, abs=1e-15)
+            spectra = [np.array(s["spectrum"]) for s in seeds]
+            assert all(np.all(nu >= 0) and nu.sum() == pytest.approx(d, abs=1e-12) for nu in spectra)
+            info = sum(s["weight"] * qd.haar_xlogx(nu) for s, nu in zip(seeds, spectra))
+            phi = sum(s["weight"] * _phi(nu) for s, nu in zip(seeds, spectra))
+            assert info == pytest.approx(pt.info_lower_bound, abs=1e-12)
+            assert phi == pytest.approx(d * d * (1 - pt.p) + pt.p, abs=1e-12)
+
+
+def test_frontier_beats_held_out_see_saw_and_rescore_agrees():
+    # the see-saw's held-out re-scores were 0.1361 at p = 1/3 and 0.1909 at p = 2/3
+    grid = list(np.linspace(0.0, 2 / 3, 11))
+    for seed in range(5):
+        points = qd.frontier_curve(2, grid, rng=np.random.default_rng(seed))
+        assert points[5].info_lower_bound >= 0.1361 and points[10].info_lower_bound >= 0.1909
+        for pt in points:
+            rescore = pt.optimizer_meta["rescore"]
+            assert rescore["samples"] == 200
+            assert abs(rescore["info"] - pt.info_lower_bound) <= 5 * rescore["stderr"] + 1e-12
+
+
+def test_frontier_records_warnings_per_point():
+    with pytest.warns(ConvergenceWarning, match="p=0.6667 not solved"):
+        points = qd.frontier_curve(2, [0.0, 2 / 3], restarts=1, rng=np.random.default_rng(96), max_iter=5)
+    assert points[0].optimizer_meta["warnings"] == []
+    (message,) = points[1].optimizer_meta["warnings"]
+    assert "not solved" in message and not points[1].optimizer_meta["converged"]
+    json.dumps([pt.optimizer_meta for pt in points])  # the metadata stays JSON

@@ -27,8 +27,8 @@ GOLDEN = {
     "disturbance-mc": "662d02914add1cc6524c7943b351fb7000f97a3e6a6674920ec47e1076fe1b4b",
     "disturbance-design": "42728f3d2da653256cbda68258be5fa0ce43830370bb5e051a93ef3ec9a5bea7",
     "twirl-check": "5b4e4faa43e27f772d94779fa4a9e719ef2bbb0314fa8d1a32873535b2b27078",
-    "frontier-csv": "2a9828bbb7825d648aefe0dcc05e9b1f0c37571f717c88096ebbe2d511df8a5e",
-    "frontier-json": "a094723cb5adcaa225db738d4226ef4698adaea9019549994847996d6589b42a",
+    "frontier-csv": "729ba70150fade7c6115d219dbce5a19b0500cbbb460a672d8aa9298ee5d0dbc",
+    "frontier-json": "64fa554c1aad70e9ab41ff282b78a3c1c0dc2ab9d18477b10c087e08fe2eadea",
 }
 
 

@@ -139,3 +139,62 @@ def test_mutual_info_nan_row_is_nan():
     assert np.isnan(qd.mutual_info(p_cond, np.full(3, 1.0 / 3.0)))
     h_c = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
     assert qd.mutual_info(p_cond[1:], np.full(2, 0.5)) == pytest.approx(h_c - 0.5 * LN2, abs=1e-15)
+
+
+def _haar_info(povm):
+    """I = sum_b [J(spec F_b) - qbar_b ln qbar_b], qbar_b = tr F_b / d."""
+    info = 0.0
+    for e in povm.effects:
+        spectrum = np.clip(np.linalg.eigvalsh(e), 0.0, None)
+        qbar = spectrum.sum() / povm.dim
+        info += qd.haar_xlogx(spectrum) - qbar * np.log(qbar)
+    return info
+
+
+def test_haar_xlogx_rank_one_and_flat():
+    for d in range(2, 11):
+        e = np.zeros(d)
+        e[0] = 1.0
+        assert qd.haar_xlogx(e) == pytest.approx(qd.xlogx_integral(d), abs=1e-12)
+        assert qd.haar_xlogx(d * e) == pytest.approx(qd.info_finegrained_exact(d), abs=1e-12)
+        assert qd.haar_xlogx(np.ones(d)) == pytest.approx(0.0, abs=1e-12)
+        assert qd.haar_xlogx(np.full(d, 0.3)) == pytest.approx(0.3 * np.log(0.3), abs=1e-12)
+    batch = np.array([[2.0, 0.0], [1.0, 1.0]])
+    assert np.allclose(qd.haar_xlogx(batch), [qd.info_finegrained_exact(2), 0.0], rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        qd.haar_xlogx([1.5, -0.5])
+    assert np.isnan(qd.haar_xlogx([np.nan, 1.0]))
+
+
+def test_haar_xlogx_matches_monte_carlo_information():
+    rng = np.random.default_rng(60)
+    for d in (2, 3, 4, 5):
+        for outcomes in (2, d + 1):
+            povm = qd.random_povm(d, outcomes, rng)
+            report = qd.info_uniform_mc(povm, 40_000, rng)
+            assert abs(_haar_info(povm) - report.mutual_info) < 5 * report.stderr
+
+
+def test_haar_xlogx_information_never_exceeds_i_max():
+    # Jones' theorem: the fine-grained measurement extracts the most, and rank-one effects attain
+    # it, so there the bound holds only up to rounding
+    rng = np.random.default_rng(61)
+    for k in range(1000):
+        d = 2 + k % 4
+        rank = int(rng.integers(1, d + 1))
+        povm = qd.random_povm(d, int(rng.integers(-(-d // rank), 2 * d + 1)), rng, rank=rank)
+        info, i_max = _haar_info(povm), qd.info_finegrained_exact(d)
+        assert -1e-13 <= info <= i_max + (1e-12 if rank == 1 else 0.0)
+        if rank == 1:
+            assert info == pytest.approx(i_max, abs=1e-12)
+
+
+def test_haar_xlogx_gradient_matches_central_differences():
+    rng = np.random.default_rng(62)
+    h = 1e-5
+    for d in (2, 3, 5, 8):
+        nu = rng.dirichlet(np.ones(d)) * d
+        _, grad = qd.haar_xlogx(nu, gradient=True)
+        steps = h * np.eye(d)
+        central = (qd.haar_xlogx(nu + steps) - qd.haar_xlogx(nu - steps)) / (2 * h)
+        assert np.abs(grad - central).max() < 1e-8
