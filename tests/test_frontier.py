@@ -351,6 +351,46 @@ def test_frontier_seeds_reproduce_each_point():
             assert phi == pytest.approx(d * d * (1 - pt.p) + pt.p, abs=1e-12)
 
 
+def _weyl_operators(d):
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    return [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b) for a in range(d) for b in range(d)]
+
+
+KERNEL_CASES = [(d, p) for d in (2, 3) for p in (0.25, 0.5, d / (d + 1))] + [(2, None), (3, None)]
+
+
+@pytest.mark.parametrize("d,p", KERNEL_CASES)
+def test_factored_kernels_match_dense_reference(d, p):
+    # p=None: the rank-one seed alone, the fine-grained measurement; otherwise the seeds of the
+    # frontier point at p. The Weyl orbit of a seed, effects m_k W V diag(nu_k) V† W† / d^2, is a
+    # finite POVM with the same information sum_k m_k J(nu_k) and the same phi, so the dense
+    # engines on its effects check haar_xlogx, phi and the re-score's diagonal q.
+    rng = np.random.default_rng(83)
+    if p is None:
+        nu = np.zeros(d)
+        nu[0] = d
+        seeds, info, disturbance = [{"weight": 1.0, "spectrum": nu}], qd.info_finegrained_exact(d), (d - 1) / (d + 1)
+    else:
+        pt = qd.frontier_curve(d, [p], restarts=4, rng=rng)[0]
+        seeds, info, disturbance = pt.optimizer_meta["seeds"], pt.info_lower_bound, pt.disturbance
+    v = qd.haar_unitary(d, rng)
+    frames = [w @ v for w in _weyl_operators(d)]
+    effects = [s["weight"] / d**2 * u @ np.diag(s["spectrum"]) @ u.conj().T for s in seeds for u in frames]
+    povm = qd.POVM(d, tuple(effects))
+    assert np.abs(sum(effects) - np.eye(d)).max() < 1e-13
+    assert qd.min_disturbance_uniform(povm).disturbance == pytest.approx(disturbance, abs=1e-12)
+
+    psis = qd.haar_states(d, 4000, rng)
+    dense = np.einsum("nd,bde,ne->nb", psis.conj(), np.stack(effects), psis).real
+    factored = np.concatenate(
+        [s["weight"] / d**2 * np.abs(psis @ u.conj()) ** 2 @ np.asarray(s["spectrum"]) for s in seeds for u in frames]
+    ).reshape(len(effects), -1).T
+    assert np.abs(dense - factored).max() < 1e-13
+    report = qd.info_uniform_mc(povm, len(psis), rng)
+    assert abs(report.mutual_info - info) <= 5 * report.stderr
+
+
 def test_frontier_beats_held_out_see_saw_and_rescore_agrees():
     # the see-saw's held-out re-scores were 0.1361 at p = 1/3 and 0.1909 at p = 2/3
     grid = list(np.linspace(0.0, 2 / 3, 11))
