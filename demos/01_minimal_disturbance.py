@@ -34,7 +34,7 @@ best = qd.min_disturbance_uniform(povm).avg_fidelity
 sqrt_fid = qd.avg_fidelity_uniform(qd.sqrt_instrument(povm)).avg_fidelity
 print(f"square-root dynamics: F = {sqrt_fid:.6f} (optimum {best:.6f})")
 
-rotated = qd.one_term_instrument(povm, [qd.haar_unitary(3, rng) for _ in povm.effects])
+rotated = qd.one_term_instrument(povm, [qd.haar_unitaries(3, 1, rng)[0] for _ in povm.effects])
 print(f"rotated branches    : F = {qd.avg_fidelity_uniform(rotated).avg_fidelity:.6f}")
 
 blocks = qd.isometry_kraus(qd.random_stinespring_isometry(3, 2, rng))

@@ -13,7 +13,7 @@ import infodist as qd
 rng = np.random.default_rng(7)
 
 print("== Haar integrals ==")
-a, b = qd.haar_state(3, rng), qd.haar_state(3, rng)
+a, b = qd.haar_states(3, 1, rng)[0], qd.haar_states(3, 1, rng)[0]
 exact = qd.jones_overlap_integral(a, b)
 states = qd.haar_states(3, 200_000, rng)
 vals = np.abs(states @ a.conj()) ** 2 * np.abs(states @ b.conj()) ** 2
@@ -37,7 +37,7 @@ print(f"  closed form   : {qd.info_finegrained_exact(2):.5f} nats")
 
 print("\nCoarse measurements gather less; mixing with doing nothing is linear:")
 basis = qd.basis_povm(2)
-ensemble = [(qd.haar_state(2, rng), 0.1) for _ in range(10)]
+ensemble = [(qd.haar_states(2, 1, rng)[0], 0.1) for _ in range(10)]
 full = qd.info_finite_ensemble(basis, ensemble).mutual_info
 trivial = qd.POVM(2, (np.eye(2, dtype=complex),))
 for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):

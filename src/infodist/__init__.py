@@ -13,7 +13,6 @@ from .errors import (
     NonHermitianError,
     NonSquareError,
     NotIsometryError,
-    NotOrthogonalError,
     NotPositiveError,
     WeightError,
 )
@@ -21,19 +20,14 @@ from .linalg import (
     dagger,
     fidelity,
     gen_inv_sqrt,
-    haar_state,
     haar_states,
     haar_unitaries,
-    haar_unitary,
     herm_eig,
     mat_sqrt,
     outer,
-    polar_decompose,
     random_density,
     random_stinespring_isometry,
-    validate_density,
     validate_distribution,
-    validate_pure_state,
 )
 from .measurement import (
     POVM,
@@ -48,7 +42,6 @@ from .measurement import (
     instrument_povm,
     instrument_validate,
     isometry_kraus,
-    luders_projective,
     povm_validate,
     random_povm,
     remix,

@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=_at_least(2), default=200, help="Haar states in each point's Monte Carlo re-score (JSON only)"
     )
     p_fr.add_argument("--restarts", type=_at_least(1), default=16, help="random starting spectra per grid point")
-    p_fr.add_argument("--max-iter", dest="max_iter", type=int, default=500, help="iteration budget of each ascent")
+    p_fr.add_argument("--max-iter", dest="max_iter", type=_at_least(1), default=500, help="iteration budget of each ascent")
     p_fr.add_argument("--json", default=None, help="also write the JSON variant with optimizer metadata")
     p_fr.add_argument("--allow-nonconverged", action="store_true")
     _add_common(p_fr)

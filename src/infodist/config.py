@@ -10,7 +10,7 @@ class Tolerances:
     """Single source of truth for the tolerance constants used in validation.
 
     algebraic      : exact identities (unitarity, hermiticity, orthogonality)
-    reconstruction : products of computed factors (sqrt squared, polar U*P)
+    reconstruction : fidelity clamp, POVM completeness, disturbance report clamp
     psd_slack      : how negative an eigenvalue may be before a matrix is
                      rejected as non-positive
     herm_gate      : asymmetry beyond which a matrix is rejected instead of

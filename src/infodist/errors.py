@@ -21,10 +21,6 @@ class DimMismatchError(InfodistError):
     pass
 
 
-class NotOrthogonalError(InfodistError):
-    pass
-
-
 class BadPartitionError(InfodistError):
     pass
 

@@ -171,7 +171,7 @@ def _ascend(roots: np.ndarray, lam: float, max_iter: int) -> tuple[_Seed, int]:
         s, j, f, g = trial, j_new, f_new, g_new
         curvature = -(ds @ dg)
         step = (ds @ ds) / curvature if curvature > 0 else 2.0 * step
-    return _Seed(s, float(s.sum() ** 2), float(j), lam, bool(np.sqrt(g @ g) <= _GRAD_STOP)), max(max_iter, 0)
+    return _Seed(s, float(s.sum() ** 2), float(j), lam, bool(np.sqrt(g @ g) <= _GRAD_STOP)), max_iter
 
 
 def _upper_hull(pool: list[_Seed]) -> list[_Seed]:
@@ -313,6 +313,8 @@ def frontier_curve(
         raise ValueError("an explicit rng is required for reproducibility")
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
+    if max_iter < 1:
+        raise ValueError("each ascent needs a budget of at least one iteration")
     p_max = d / (d + 1)
     for p in p_grid:
         if not -1e-12 <= p <= p_max + 1e-12:

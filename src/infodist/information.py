@@ -28,7 +28,7 @@ class InfoReport:
     mutual_info: float
     h_b: float
     h_b_given_psi: float
-    method: str  # "exact-finegrained" | "monte-carlo" | "finite-ensemble"
+    method: str  # "monte-carlo" | "finite-ensemble"
     stderr: float | None = None
     samples: int | None = None
     log_base: str = "nats"

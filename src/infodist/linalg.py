@@ -1,10 +1,10 @@
 """Dense complex linear algebra primitives.
 
 Hermitian eigendecomposition with a fixed phase convention, operator square
-roots with support truncation, polar decomposition, Uhlmann fidelity and
-Haar sampling. Everything works on plain complex numpy arrays and takes an
-explicit ``numpy.random.Generator`` where randomness is involved, so results
-are reproducible bit for bit from a seed.
+roots with support truncation, Uhlmann fidelity and Haar sampling.
+Everything works on plain complex numpy arrays and takes an explicit
+``numpy.random.Generator`` where randomness is involved, so results are
+reproducible bit for bit from a seed.
 """
 
 from __future__ import annotations
@@ -88,39 +88,6 @@ def gen_inv_sqrt(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (v * inv) @ dagger(v)
 
 
-def polar_decompose(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition A = U P with P = sqrt(A† A) and U unitary.
-
-    On the support of P, U maps right singular directions onto the image
-    of A. On the null space it is completed deterministically to a full
-    unitary by Gram-Schmidt over the standard basis vectors in index order.
-    """
-    d = require_square(a)
-    w, v = _psd_spectrum(dagger(a) @ a, tol)
-    sqrt_w = np.sqrt(w)
-    p = (v * sqrt_w) @ dagger(v)
-
-    support = w > 0
-    image = []
-    for k in np.nonzero(support)[0]:
-        image.append((a @ v[:, k]) / sqrt_w[k])
-    # complete an orthonormal basis for the image side
-    for e in np.eye(d, dtype=complex):
-        if len(image) == d:
-            break
-        residual = e.copy()
-        for u in image:
-            residual -= u * (u.conj() @ residual)
-        norm = np.linalg.norm(residual)
-        if norm > 0.5:  # standard basis vector not already spanned
-            image.append(residual / norm)
-    u = np.zeros((d, d), dtype=complex)
-    cols = list(np.nonzero(support)[0]) + list(np.nonzero(~support)[0])
-    for img, k in zip(image, cols):
-        u += np.outer(img, v[:, k].conj())
-    return u, p
-
-
 def fidelity(rho: np.ndarray, sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
@@ -135,20 +102,10 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL) 
     return min(val, 1.0) if val <= 1.0 + tol.reconstruction else val
 
 
-def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    """A pure state drawn from the unitarily invariant distribution."""
-    return haar_states(d, 1, rng)[0]
-
-
 def haar_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` independent Haar-random pure states, shape (n, d)."""
     z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """A Haar-distributed unitary."""
-    return haar_unitaries(d, 1, rng)[0]
 
 
 def _rephased_qr(z: np.ndarray) -> np.ndarray:
@@ -184,29 +141,6 @@ def outer(psi: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
     if phi is None:
         phi = psi
     return np.outer(psi, phi.conj())
-
-
-def validate_pure_state(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
-    if psi.ndim != 1:
-        raise DimMismatchError(f"expected a vector, got shape {psi.shape}")
-    norm = float(np.sum(np.abs(psi) ** 2))
-    if not abs(norm - 1.0) < tol.weight:
-        raise ValueError(f"state is not normalized: |psi|^2 = {norm!r}")
-
-
-def validate_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
-    """Check Hermiticity, positivity and unit trace of a density operator.
-    Each test is written so that a NaN fails it."""
-    require_square(rho)
-    asym = np.abs(rho - dagger(rho)).max()
-    if not asym <= 1e-12:
-        raise NonHermitianError(f"density operator not Hermitian: {asym:.3e}")
-    w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-    if not w[0] >= -tol.psd_slack:
-        raise NotPositiveError(f"density operator has eigenvalue {w[0]:.3e}")
-    tr = float(np.trace(rho).real)
-    if not abs(tr - 1.0) <= tol.psd_slack:
-        raise NotPositiveError(f"density operator has trace {tr!r}")
 
 
 def validate_distribution(weights, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

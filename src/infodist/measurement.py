@@ -9,7 +9,7 @@ of complex numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .errors import (
     BadPartitionError,
     DimMismatchError,
     NotIsometryError,
-    NotOrthogonalError,
     WeightError,
 )
 from .linalg import dagger, gen_inv_sqrt, herm_eig, mat_sqrt, require_square, validate_distribution
@@ -75,31 +74,27 @@ class PovmDiagnostics:
     max_hermiticity_violation: float
     max_psd_violation: float
     completeness_residual: float
-    zero_effects: tuple[int, ...] = field(default=())
-    passed: bool = False
+    passed: bool
 
 
 def povm_validate(povm: POVM, tol: Tolerances = DEFAULT_TOL) -> PovmDiagnostics:
     """Report how far a POVM is from Hermitian, positive, complete."""
     herms = []
     psds = []
-    zero = []
     total = np.zeros((povm.dim, povm.dim), dtype=complex)
-    for b, e in enumerate(povm.effects):
+    for e in povm.effects:
         require_square(e)
         herms.append(np.abs(e - dagger(e)).max())
         # eigvalsh of a NaN matrix is unspecified (LAPACK returns zeros)
         w = np.linalg.eigvalsh((e + dagger(e)) / 2) if np.isfinite(e).all() else np.full(povm.dim, np.nan)
         psds.append(0.0 if w[0] >= 0 else -w[0])
-        if w[-1] <= tol.psd_slack:
-            zero.append(b)
         total += e
     # np.max propagates NaN (Python's max drops it), and NaN fails the test below
     herm = float(np.max(herms, initial=0.0))
     psd = float(np.max(psds, initial=0.0))
     completeness = float(np.abs(total - np.eye(povm.dim)).max())
     ok = herm <= tol.algebraic and psd <= tol.psd_slack and completeness <= tol.reconstruction
-    return PovmDiagnostics(herm, psd, completeness, tuple(zero), ok)
+    return PovmDiagnostics(herm, psd, completeness, ok)
 
 
 def instrument_validate(inst: Instrument, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -117,26 +112,6 @@ def sqrt_instrument(povm: POVM, tol: Tolerances = DEFAULT_TOL) -> Instrument:
     rho -> sqrt(F_b) rho sqrt(F_b).
     """
     return Instrument(povm.dim, tuple((mat_sqrt(e, tol),) for e in povm.effects))
-
-
-def luders_projective(projectors: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Instrument:
-    """Projective-measurement instrument rho -> P_b rho P_b.
-
-    Requires mutually orthogonal projectors summing to the identity;
-    coincides with ``sqrt_instrument`` on projector POVMs.
-    """
-    projectors = [np.asarray(p, dtype=complex) for p in projectors]
-    d = require_square(projectors[0])
-    total = np.zeros((d, d), dtype=complex)
-    for i, p in enumerate(projectors):
-        for j, q in enumerate(projectors):
-            expect = p if i == j else 0.0
-            if np.abs(p @ q - expect).max() > tol.reconstruction:
-                raise NotOrthogonalError(f"projectors {i},{j} are not orthogonal idempotents")
-        total += p
-    if np.abs(total - np.eye(d)).max() > tol.reconstruction:
-        raise NotOrthogonalError("projectors do not sum to the identity")
-    return Instrument(d, tuple((p,) for p in projectors))
 
 
 def apply_branch(inst: Instrument, b: int, rho: np.ndarray) -> tuple[np.ndarray, float]:

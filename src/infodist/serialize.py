@@ -16,7 +16,7 @@ from .disturbance import DisturbanceReport
 from .frontier import FrontierPoint
 from .galois import MubSet
 from .information import InfoReport
-from .measurement import POVM, Instrument
+from .measurement import POVM
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
@@ -54,15 +54,6 @@ def povm_from_json(obj: dict) -> POVM:
     effects = tuple(matrix_from_json(e) for e in obj["effects"])
     labels = tuple(obj["labels"]) if "labels" in obj and obj["labels"] is not None else None
     return POVM(int(obj["dim"]), effects, labels)
-
-
-def instrument_to_json(inst: Instrument) -> dict:
-    return {"dim": inst.dim, "branches": [[matrix_to_json(a) for a in br] for br in inst.branches]}
-
-
-def instrument_from_json(obj: dict) -> Instrument:
-    branches = tuple(tuple(matrix_from_json(a) for a in br) for br in obj["branches"])
-    return Instrument(int(obj["dim"]), branches)
 
 
 def mubset_to_json(mub: MubSet, p: int | None = None, n: int | None = None) -> dict:

@@ -40,13 +40,13 @@ def random_instrument(d, rng):
     if kind == 0:
         return qd.sqrt_instrument(povm)
     if kind == 1:
-        us = [qd.haar_unitary(d, rng) for _ in povm.effects]
+        us = [qd.haar_unitaries(d, 1, rng)[0] for _ in povm.effects]
         return qd.one_term_instrument(povm, us)
     if kind == 2:
         blocks = qd.isometry_kraus(qd.random_stinespring_isometry(d, 2, rng))
         roots = [a for (a,) in qd.sqrt_instrument(povm).branches]
         return qd.Instrument(d, tuple(tuple(b @ r for b in blocks) for r in roots))
-    return qd.reset_instrument(povm, qd.haar_state(d, rng))
+    return qd.reset_instrument(povm, qd.haar_states(d, 1, rng)[0])
 
 
 def run_mc_vs_exact(seed=1, samples=100_000, trials=20):
@@ -179,7 +179,7 @@ def test_criterion_5_superadditivity():
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         margin = qd.superadditivity_margin(
-            x @ x.conj().T / d, y @ y.conj().T / d, qd.haar_state(d, rng)
+            x @ x.conj().T / d, y @ y.conj().T / d, qd.haar_states(d, 1, rng)[0]
         )
         worst = min(worst, margin)
     assert worst >= -1e-12
@@ -189,7 +189,7 @@ def test_criterion_5_superadditivity():
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         p1 = x @ x.conj().T / d
         c = float(rng.uniform(0.1, 3.0))
-        margin = qd.superadditivity_margin(p1, c * p1, qd.haar_state(d, rng))
+        margin = qd.superadditivity_margin(p1, c * p1, qd.haar_states(d, 1, rng)[0])
         assert abs(margin) <= 1e-10
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -245,7 +245,7 @@ def test_criterion_9_restore_counterexample():
     t0 = time.perf_counter()
     rng = np.random.default_rng(109)
     for d in (2, 3, 4):
-        psi = qd.haar_state(d, rng)
+        psi = qd.haar_states(d, 1, rng)[0]
         _, _, gain = qd.restore_counterexample(d, psi)
         assert abs(gain - 1.0) < 1e-12
         assert gain > 0.0

@@ -173,14 +173,16 @@ def test_frontier_command(tmp_path):
 
 
 def test_frontier_nonconverged_soft_failure(tmp_path):
-    code = main([
-        "frontier", "--d", "2", "--grid", "2", "--samples", "30", "--restarts", "1",
-        "--max-iter", "5", "--seed", "0", "--out", str(tmp_path / "c.csv"),
-    ])
+    # the CLI passes the optimizer's warning on to the user
+    with pytest.warns(qd.ConvergenceWarning, match="not solved"):
+        code = main([
+            "frontier", "--d", "2", "--grid", "2", "--samples", "30", "--restarts", "1",
+            "--max-iter", "5", "--seed", "0", "--out", str(tmp_path / "c.csv"),
+        ])
     assert code == 3
 
 
-@pytest.mark.parametrize("option", ["--restarts", "--samples"])
+@pytest.mark.parametrize("option", ["--restarts", "--samples", "--max-iter"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_frontier_empty_budget_exit_2(option, value, capsys):
     # --restarts 0 once ended in a TypeError traceback, --samples 0 in a "weights" error;
@@ -213,6 +215,20 @@ def test_frontier_defaults_converge(d, tmp_path, capsys):
     assert main(["frontier", "--d", d, "--out", str(tmp_path / "c.csv")]) == 0
     assert "Warning" not in capsys.readouterr().err
     assert all(line.endswith(",true") for line in (tmp_path / "c.csv").read_text().splitlines()[1:])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("d, grid", [(2, 11), (3, 5)])
+def test_frontier_json_is_strict_json(d, grid, tmp_path):
+    # Python's json writes Infinity and NaN for a non-finite gap or stderr; strict parsers refuse them
+    json_path = tmp_path / "c.json"
+    argv = ["frontier", "--d", str(d), "--grid", str(grid), "--out", str(tmp_path / "c.csv"), "--json", str(json_path)]
+    assert main(argv) == 0
+    points = qd.frontier_curve(d, list(np.linspace(0.0, d / (d + 1), grid)), rng=np.random.default_rng(0))
+    assert json.loads(json_path.read_text(), parse_constant=_reject_constant) == serialize.frontier_to_json(points)
 
 
 def test_twirl_check(qubit_basis_file, capsys):

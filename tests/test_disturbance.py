@@ -85,7 +85,7 @@ def test_avg_fidelity_mc_identity_and_basis():
 
 def test_avg_fidelity_mc_matches_exact_for_reset():
     rng = np.random.default_rng(35)
-    psi0 = qd.haar_state(2, rng)
+    psi0 = qd.haar_states(2, 1, rng)[0]
     inst = qd.reset_instrument(qd.random_povm(2, 3, rng), psi0)
     exact = qd.avg_fidelity_uniform(inst).avg_fidelity
     rep = qd.avg_fidelity_mc(inst, 100_000, rng)
@@ -122,7 +122,7 @@ def test_entanglement_fidelity_relation_to_avg():
     for d in (2, 3, 4):
         for _ in range(20):
             povm = qd.random_povm(d, 3, rng)
-            us = [qd.haar_unitary(d, rng) for _ in povm.effects]
+            us = [qd.haar_unitaries(d, 1, rng)[0] for _ in povm.effects]
             inst = qd.one_term_instrument(povm, us)
             f_e = qd.entanglement_fidelity(np.eye(d, dtype=complex) / d, inst)
             f_avg = qd.avg_fidelity_uniform(inst).avg_fidelity
@@ -138,7 +138,7 @@ def test_conditional_avg_disturbance():
     assert d2 == pytest.approx(0.0, abs=1e-10)
 
     # pure-state ensembles: the two measures coincide
-    ens = [(qd.outer(qd.haar_state(2, rng)), 0.5), (qd.outer(qd.haar_state(2, rng)), 0.5)]
+    ens = [(qd.outer(qd.haar_states(2, 1, rng)[0]), 0.5), (qd.outer(qd.haar_states(2, 1, rng)[0]), 0.5)]
     d1, d2 = qd.conditional_avg_disturbance(ens, inst)
     assert d2 == pytest.approx(d1, abs=1e-10)
 
@@ -152,7 +152,7 @@ def test_conditional_avg_disturbance():
 
 def test_superadditivity_margin_cases():
     rng = np.random.default_rng(39)
-    psi = qd.haar_state(3, rng)
+    psi = qd.haar_states(3, 1, rng)[0]
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     p1 = x @ x.conj().T
 
@@ -171,7 +171,7 @@ def test_superadditivity_random_search():
         d = int(rng.integers(2, 7))
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        worst = min(worst, qd.superadditivity_margin(x @ x.conj().T / d, y @ y.conj().T / d, qd.haar_state(d, rng)))
+        worst = min(worst, qd.superadditivity_margin(x @ x.conj().T / d, y @ y.conj().T / d, qd.haar_states(d, 1, rng)[0]))
     assert worst >= -1e-12
 
 
@@ -182,7 +182,7 @@ def test_restore_counterexample():
 
     rng = np.random.default_rng(41)
     for d in (2, 3, 5):
-        psi = qd.haar_state(d, rng)
+        psi = qd.haar_states(d, 1, rng)[0]
         g, channel, gain = qd.restore_counterexample(d, psi)
         assert gain == pytest.approx(1.0, abs=1e-12)
         assert qd.instrument_validate(channel) < 1e-12
@@ -221,7 +221,7 @@ def test_one_term_rotations_never_beat_square_root():
         d = int(rng.integers(2, 5))
         povm = qd.random_povm(d, 3, rng)
         best = qd.min_disturbance_uniform(povm).avg_fidelity
-        us = [qd.haar_unitary(d, rng) for _ in povm.effects]
+        us = [qd.haar_unitaries(d, 1, rng)[0] for _ in povm.effects]
         rotated = qd.avg_fidelity_uniform(qd.one_term_instrument(povm, us)).avg_fidelity
         assert rotated <= best + 1e-12
 

@@ -73,7 +73,7 @@ def test_depolarize_endpoints_and_fidelity():
     assert np.abs(qd.depolarize(rho, 0.0) - rho).max() == 0.0
     assert np.abs(qd.depolarize(rho, 1.0) - np.eye(3) / 3).max() < 1e-12
 
-    psi = qd.haar_state(2, rng)
+    psi = qd.haar_states(2, 1, rng)[0]
     pure = qd.outer(psi)
     for p in (0.0, 0.3, 1.0):
         f = qd.fidelity(pure, qd.depolarize(pure, p))
@@ -161,7 +161,7 @@ def test_environment_model_and_state():
     assert amp_flag + 2 * amp_pair == pytest.approx(1.0, abs=1e-12)
 
     rng = np.random.default_rng(76)
-    psi = qd.haar_state(2, rng)
+    psi = qd.haar_states(2, 1, rng)[0]
     rho0 = environment_state(psi, 0.0)
     expected = np.zeros((5, 5), dtype=complex)
     expected[0, 0] = 1.0
@@ -174,7 +174,7 @@ def test_environment_model_and_state():
     for _ in range(100):
         d = int(rng.integers(2, 4))
         p = float(rng.uniform())
-        rho = environment_state(qd.haar_state(d, rng), p)
+        rho = environment_state(qd.haar_states(d, 1, rng)[0], p)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho).min() > -1e-12
 
@@ -185,7 +185,7 @@ def test_env_unitary_check_end_to_end():
     assert res_env < 1e-10 and res_sys < 1e-10
     for d in (2, 3):
         for p in (0.0, 0.25, 0.8, 1.0):
-            res_env, res_sys = env_unitary_check(qd.haar_state(d, rng), p)
+            res_env, res_sys = env_unitary_check(qd.haar_states(d, 1, rng)[0], p)
             assert res_env < 1e-10
             assert res_sys < 1e-10
 
@@ -276,6 +276,8 @@ def test_frontier_curve_rejects_bad_grid():
         qd.frontier_curve(2, [0.9], rng=rng)
     with pytest.raises(ValueError):
         qd.frontier_curve(2, [0.5], samples=1, rng=rng)
+    with pytest.raises(ValueError):
+        qd.frontier_curve(2, [0.5], rng=rng, max_iter=0)
 
 
 def _phi(spectrum):
@@ -374,7 +376,7 @@ def test_factored_kernels_match_dense_reference(d, p):
     else:
         pt = qd.frontier_curve(d, [p], restarts=4, rng=rng)[0]
         seeds, info, disturbance = pt.optimizer_meta["seeds"], pt.info_lower_bound, pt.disturbance
-    v = qd.haar_unitary(d, rng)
+    v = qd.haar_unitaries(d, 1, rng)[0]
     frames = [w @ v for w in _weyl_operators(d)]
     effects = [s["weight"] / d**2 * u @ np.diag(s["spectrum"]) @ u.conj().T for s in seeds for u in frames]
     povm = qd.POVM(d, tuple(effects))

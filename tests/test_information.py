@@ -24,7 +24,7 @@ def test_jones_overlap_closed_form():
 def test_jones_overlap_against_sampling():
     rng = np.random.default_rng(50)
     d, n = 4, 100_000
-    a, b = qd.haar_state(d, rng), qd.haar_state(d, rng)
+    a, b = qd.haar_states(d, 1, rng)[0], qd.haar_states(d, 1, rng)[0]
     states = qd.haar_states(d, n, rng)
     vals = np.abs(states @ a.conj()) ** 2 * np.abs(states @ b.conj()) ** 2
     stderr = vals.std(ddof=1) / np.sqrt(n)
@@ -103,7 +103,7 @@ def test_info_outcome_splitting_identity():
         [(trivial, qd.sqrt_instrument(trivial)), (basis, qd.sqrt_instrument(basis))],
         [0.4, 0.6],
     )
-    ensemble = [(qd.haar_state(2, rng), 0.25) for _ in range(4)]
+    ensemble = [(qd.haar_states(2, 1, rng)[0], 0.25) for _ in range(4)]
     full = qd.info_finite_ensemble(basis, ensemble).mutual_info
     assert qd.info_finite_ensemble(mixed, ensemble).mutual_info == pytest.approx(0.6 * full, abs=1e-10)
 
@@ -115,7 +115,7 @@ def test_info_mixing_linearity():
     mixed, _ = qd.convex_mix(
         [(p1, qd.sqrt_instrument(p1)), (p2, qd.sqrt_instrument(p2))], [0.35, 0.65]
     )
-    ensemble = [(qd.haar_state(3, rng), 0.2) for _ in range(5)]
+    ensemble = [(qd.haar_states(3, 1, rng)[0], 0.2) for _ in range(5)]
     i1 = qd.info_finite_ensemble(p1, ensemble).mutual_info
     i2 = qd.info_finite_ensemble(p2, ensemble).mutual_info
     im = qd.info_finite_ensemble(mixed, ensemble).mutual_info
@@ -126,7 +126,7 @@ def test_info_coarse_graining_monotone():
     # data processing: grouping outcomes cannot increase information
     rng = np.random.default_rng(58)
     povm = qd.random_povm(3, 4, rng)
-    ensemble = [(qd.haar_state(3, rng), 1.0 / 6.0) for _ in range(6)]
+    ensemble = [(qd.haar_states(3, 1, rng)[0], 1.0 / 6.0) for _ in range(6)]
     fine = qd.info_finite_ensemble(povm, ensemble).mutual_info
     grouped = qd.coarse_grain(povm, [[0, 2], [1, 3]])
     coarse = qd.info_finite_ensemble(grouped, ensemble).mutual_info
