@@ -3,7 +3,6 @@ pure-state ensemble: minimal-disturbance instruments, outcome-state mutual
 information, mutually unbiased bases as projective 2-designs, and the
 depolarizing-channel frontier construction."""
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     BadPartitionError,
     ConvergenceWarning,

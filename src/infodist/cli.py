@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .config import DEFAULT_TOL
+from .config import ALGEBRAIC
 from .disturbance import avg_fidelity_design, avg_fidelity_mc, min_disturbance_uniform
 from .errors import InfodistError
 from .frontier import depolarize, frontier_curve, twirl_channel, twirl_depolarizing_p
@@ -111,8 +111,8 @@ def cmd_design_check(args) -> int:
         raise UsageError(f"{args.infile} does not encode bases: {exc}") from exc
     deviation = design_check(vectors, args.trials, np.random.default_rng(_resolve_seed(args)))
     print(f"max deviation over {args.trials} random degree-2 functionals: {deviation:.17g}")
-    if not deviation < DEFAULT_TOL.algebraic:  # a NaN deviation fails too
-        raise ValidationFailure(f"vectors are not a 2-design (deviation {deviation:.3e} >= {DEFAULT_TOL.algebraic:.0e})")
+    if not deviation < ALGEBRAIC:  # a NaN deviation fails too
+        raise ValidationFailure(f"vectors are not a 2-design (deviation {deviation:.3e} >= {ALGEBRAIC:.0e})")
     return 0
 
 

@@ -1,31 +1,23 @@
-"""Numerical tolerance configuration shared by all modules."""
+"""Numerical thresholds shared by all modules.
 
-from __future__ import annotations
+The identities this package checks are exact, so each kind of identity is
+tested against one fixed threshold. These are package-wide constants; no
+function takes a tolerance argument.
 
-from dataclasses import dataclass
+ALGEBRAIC      : exact identities (unitarity, hermiticity, orthogonality)
+RECONSTRUCTION : fidelity clamp, POVM completeness, disturbance report clamp
+PSD_SLACK      : how negative an eigenvalue may be before a matrix is
+                 rejected as non-positive
+HERM_GATE      : asymmetry beyond which a matrix is rejected instead of
+                 being symmetrized
+SUPPORT_REL    : relative eigenvalue cutoff (times dim * max eigenvalue)
+                 below which spectrum is treated as null space
+WEIGHT         : slack for probability weights summing to one
+"""
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Single source of truth for the tolerance constants used in validation.
-
-    algebraic      : exact identities (unitarity, hermiticity, orthogonality)
-    reconstruction : fidelity clamp, POVM completeness, disturbance report clamp
-    psd_slack      : how negative an eigenvalue may be before a matrix is
-                     rejected as non-positive
-    herm_gate      : asymmetry beyond which a matrix is rejected instead of
-                     being symmetrized
-    support_rel    : relative eigenvalue cutoff (times dim * max eigenvalue)
-                     below which spectrum is treated as null space
-    weight         : slack for probability weights summing to one
-    """
-
-    algebraic: float = 1e-10
-    reconstruction: float = 1e-9
-    psd_slack: float = 1e-10
-    herm_gate: float = 1e-8
-    support_rel: float = 1e-12
-    weight: float = 1e-12
-
-
-DEFAULT_TOL = Tolerances()
+ALGEBRAIC = 1e-10
+RECONSTRUCTION = 1e-9
+PSD_SLACK = 1e-10
+HERM_GATE = 1e-8
+SUPPORT_REL = 1e-12
+WEIGHT = 1e-12

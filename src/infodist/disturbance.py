@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import ALGEBRAIC, PSD_SLACK, RECONSTRUCTION
 from .errors import DimMismatchError, NotPositiveError
 from .linalg import (
     dagger,
@@ -33,7 +33,7 @@ from .measurement import (
 )
 
 
-def pair_moment(a: np.ndarray, b: np.ndarray) -> float | complex:
+def pair_moment(a: np.ndarray, b: np.ndarray) -> complex:
     """Haar average of <psi|A|psi><psi|B|psi>: (tr A tr B + tr AB) / (d(d+1)).
 
     This is the trace of Pi (A x B) evaluated in closed form.
@@ -41,8 +41,7 @@ def pair_moment(a: np.ndarray, b: np.ndarray) -> float | complex:
     d = require_square(a)
     if b.shape != a.shape:
         raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    val = (np.trace(a) * np.trace(b) + np.trace(a @ b)) / (d * (d + 1))
-    return val.real if abs(val.imag) < 1e-14 * (1 + abs(val.real)) else val
+    return complex((np.trace(a) * np.trace(b) + np.trace(a @ b)) / (d * (d + 1)))
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class DisturbanceReport:
 
 
 def _report(avg: float, method: str, stderr=None, samples=None) -> DisturbanceReport:
-    if avg <= 1.0 + DEFAULT_TOL.reconstruction:  # forgive rounding overshoot, keep real violations visible
+    if avg <= 1.0 + RECONSTRUCTION:  # forgive rounding overshoot, keep real violations visible
         avg = min(max(avg, 0.0), 1.0)
     return DisturbanceReport(float(avg), 1.0 - float(avg), method, stderr, samples)
 
@@ -73,7 +72,7 @@ def avg_fidelity_uniform(inst: Instrument) -> DisturbanceReport:
     return _report(total / (d * (d + 1)), "exact-pi")
 
 
-def min_disturbance_uniform(povm: POVM, tol: Tolerances = DEFAULT_TOL) -> DisturbanceReport:
+def min_disturbance_uniform(povm: POVM) -> DisturbanceReport:
     """Least Haar-average disturbance over all instruments for a POVM.
 
     The square-root dynamics attain it; the optimum is
@@ -82,7 +81,7 @@ def min_disturbance_uniform(povm: POVM, tol: Tolerances = DEFAULT_TOL) -> Distur
     d = povm.dim
     total = float(d)
     for e in povm.effects:
-        total += float(np.trace(mat_sqrt(e, tol)).real) ** 2
+        total += float(np.trace(mat_sqrt(e)).real) ** 2
     return _report(total / (d * (d + 1)), "exact-pi")
 
 
@@ -133,35 +132,26 @@ def entanglement_fidelity(rho: np.ndarray, inst: Instrument) -> float:
     return float(sum(abs(np.trace(a @ rho)) ** 2 for a in inst.kraus_ops()))
 
 
-def conditional_avg_disturbance(
-    ensemble: list[tuple[np.ndarray, float]],
-    inst: Instrument,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[float, float]:
+def conditional_avg_disturbance(ensemble: list[tuple[np.ndarray, float]], inst: Instrument) -> tuple[float, float]:
     """Outcome-blind and outcome-aware average disturbances (D1, D2).
 
     D1 uses the overall channel output; D2 sums branch fidelities with the
     unnormalized conditional outputs. Concavity of fidelity gives D2 >= D1,
     with equality on pure-state ensembles.
     """
-    validate_distribution([w for _, w in ensemble], tol)
+    validate_distribution([w for _, w in ensemble])
     f1 = 0.0
     f2 = 0.0
     for (rho, w) in ensemble:
         rho = np.asarray(rho, dtype=complex)
-        f1 += w * fidelity(rho, apply_channel(inst, rho), tol)
+        f1 += w * fidelity(rho, apply_channel(inst, rho))
         for b in range(len(inst.branches)):
             out, _ = apply_branch(inst, b, rho)
-            f2 += w * fidelity(rho, out, tol)
+            f2 += w * fidelity(rho, out)
     return 1.0 - f1, 1.0 - f2
 
 
-def superadditivity_margin(
-    p1: np.ndarray,
-    p2: np.ndarray,
-    psi: np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def superadditivity_margin(p1: np.ndarray, p2: np.ndarray, psi: np.ndarray) -> float:
     """<psi|sqrt(P1^2+P2^2)|psi>^2 - <psi|P1|psi>^2 - <psi|P2|psi>^2.
 
     Nonnegative for positive P1, P2 (equality when they are proportional);
@@ -171,9 +161,9 @@ def superadditivity_margin(
     p2 = np.asarray(p2, dtype=complex)
     w1 = np.linalg.eigvalsh((p1 + dagger(p1)) / 2)
     w2 = np.linalg.eigvalsh((p2 + dagger(p2)) / 2)
-    if w1[0] < -tol.psd_slack or w2[0] < -tol.psd_slack:
+    if w1[0] < -PSD_SLACK or w2[0] < -PSD_SLACK:
         raise NotPositiveError("both operators must be positive semidefinite")
-    root = mat_sqrt(p1 @ p1 + p2 @ p2, tol)
+    root = mat_sqrt(p1 @ p1 + p2 @ p2)
     rhs = float(np.vdot(psi, root @ psi).real) ** 2
     lhs = float(np.vdot(psi, p1 @ psi).real) ** 2 + float(np.vdot(psi, p2 @ psi).real) ** 2
     return rhs - lhs
@@ -203,11 +193,7 @@ def restore_counterexample(d: int, psi: np.ndarray) -> tuple[np.ndarray, Instrum
     return g, channel, gain
 
 
-def entfid_bound_check(
-    povm: POVM,
-    m: np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[float, float]:
+def entfid_bound_check(povm: POVM, m: np.ndarray) -> tuple[float, float]:
     """Entanglement fidelity of multi-term vs square-root dynamics at I/d.
 
     ``m`` is a (k*d, d) isometry whose blocks B_i define a channel; the
@@ -219,9 +205,9 @@ def entfid_bound_check(
     if blocks[0].shape != (povm.dim, povm.dim):
         raise DimMismatchError(f"isometry blocks {blocks[0].shape} do not match dim {povm.dim}")
     gram = sum(dagger(b) @ b for b in blocks)
-    if np.abs(gram - np.eye(povm.dim)).max() > tol.algebraic:
+    if np.abs(gram - np.eye(povm.dim)).max() > ALGEBRAIC:
         raise DimMismatchError("blocks of m do not form a trace-preserving channel")
-    roots = [mat_sqrt(e, tol) for e in povm.effects]
+    roots = [mat_sqrt(e) for e in povm.effects]
     multi = Instrument(povm.dim, tuple(tuple(b @ r for b in blocks) for r in roots))
     eye_d = np.eye(povm.dim) / povm.dim
     lhs = entanglement_fidelity(eye_d, multi)
@@ -229,12 +215,12 @@ def entfid_bound_check(
     return lhs, rhs
 
 
-def one_term_instrument(povm: POVM, unitaries: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Instrument:
+def one_term_instrument(povm: POVM, unitaries: list[np.ndarray]) -> Instrument:
     """Instrument with branches U_b sqrt(F_b): the general one-term dynamics
     compatible with a POVM."""
     if len(unitaries) != len(povm.effects):
         raise DimMismatchError("need one unitary per outcome")
     return Instrument(
         povm.dim,
-        tuple((np.asarray(u, dtype=complex) @ mat_sqrt(e, tol),) for u, e in zip(unitaries, povm.effects)),
+        tuple((np.asarray(u, dtype=complex) @ mat_sqrt(e),) for u, e in zip(unitaries, povm.effects)),
     )

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .disturbance import min_disturbance_uniform
 from .errors import ConvergenceWarning, DimMismatchError
 from .information import haar_xlogx, info_finegrained_exact
@@ -79,22 +78,16 @@ def covariance_check(
     return float(np.max(residuals, initial=0.0))  # NaN propagates, unlike Python's max
 
 
-def twirl_depolarizing_p(povm: POVM, tol: Tolerances = DEFAULT_TOL) -> float:
+def twirl_depolarizing_p(povm: POVM) -> float:
     """Mixing probability of the depolarizing channel obtained by Haar
     twirling the square-root instrument: p* = (1 - F_e) d^2 / (d^2 - 1)
     with F_e = sum_b (tr sqrt F_b)^2 / d^2."""
     d = povm.dim
-    f_e = sum(float(np.trace(mat_sqrt(e, tol)).real) ** 2 for e in povm.effects) / d**2
+    f_e = sum(float(np.trace(mat_sqrt(e)).real) ** 2 for e in povm.effects) / d**2
     return (1.0 - f_e) * d**2 / (d**2 - 1)
 
 
-def twirl_channel(
-    povm: POVM,
-    rho: np.ndarray,
-    n_samples: int,
-    rng: np.random.Generator,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
+def twirl_channel(povm: POVM, rho: np.ndarray, n_samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo Haar twirl of the square-root instrument's channel.
 
     Averages U sqrt(F_b) U† rho U sqrt(F_b) U† over Haar unitaries; the
@@ -104,7 +97,7 @@ def twirl_channel(
     """
     rho = np.asarray(rho, dtype=complex)
     d = povm.dim
-    roots = [mat_sqrt(e, tol) for e in povm.effects]
+    roots = [mat_sqrt(e) for e in povm.effects]
     us = haar_unitaries(d, n_samples, rng)
     uds = us.conj().transpose(0, 2, 1)
     vals = np.zeros((n_samples, d, d), dtype=complex)
@@ -265,32 +258,29 @@ class FrontierPoint:
     optimizer_meta: dict = field(default_factory=dict)
 
 
-def line_candidate(d: int, alpha_grid: list[float], tol: Tolerances = DEFAULT_TOL) -> list[tuple[float, float]]:
+def line_candidate(d: int, alpha_grid: list[float]) -> list[tuple[float, float]]:
     """(information, disturbance) for the do-nothing / fine-grained mixture
     {alpha I, (1-alpha) |b><b|}: the straight line between the frontier
     endpoints. Disturbance is evaluated through the mixed POVM itself."""
     i_max = info_finegrained_exact(d)
     trivial = POVM(d, (np.eye(d, dtype=complex),))
     basis = basis_povm(d)
+    procedures = [(trivial, sqrt_instrument(trivial)), (basis, sqrt_instrument(basis))]
     points = []
     for alpha in alpha_grid:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-        mixed, _ = convex_mix(
-            [(trivial, sqrt_instrument(trivial, tol)), (basis, sqrt_instrument(basis, tol))],
-            [alpha, 1.0 - alpha],
-            tol,
-        )
-        points.append(((1.0 - alpha) * i_max, min_disturbance_uniform(mixed, tol).disturbance))
+        mixed, _ = convex_mix(procedures, [alpha, 1.0 - alpha])
+        points.append(((1.0 - alpha) * i_max, min_disturbance_uniform(mixed).disturbance))
     return points
 
 
 def frontier_curve(
     d: int,
     p_grid: list[float],
+    rng: np.random.Generator,
     samples: int = 200,
     restarts: int = 16,
-    rng: np.random.Generator | None = None,
     max_iter: int = 500,
 ) -> list[FrontierPoint]:
     """Information-disturbance frontier of the uniform (Haar) ensemble.
@@ -309,8 +299,6 @@ def frontier_curve(
     raised again. ``line_info`` is the straight-line candidate rescaled to
     the same parameter.
     """
-    if rng is None:
-        raise ValueError("an explicit rng is required for reproducibility")
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
     if max_iter < 1:

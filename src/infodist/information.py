@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import DimMismatchError
 from .linalg import haar_states, validate_distribution
 from .measurement import POVM
@@ -154,15 +153,11 @@ def info_uniform_mc(povm: POVM, n_samples: int, rng: np.random.Generator) -> Inf
     return InfoReport(h_b - h_cond, h_b, h_cond, "monte-carlo", stderr, n_samples)
 
 
-def info_finite_ensemble(
-    povm: POVM,
-    ensemble: list[tuple[np.ndarray, float]],
-    tol: Tolerances = DEFAULT_TOL,
-) -> InfoReport:
+def info_finite_ensemble(povm: POVM, ensemble: list[tuple[np.ndarray, float]]) -> InfoReport:
     """Exact mutual information for a discrete pure-state ensemble."""
-    weights = validate_distribution([w for _, w in ensemble], tol)
+    weights = validate_distribution([w for _, w in ensemble])
     states = np.stack([np.asarray(psi, dtype=complex) for psi, _ in ensemble])
     cond = _outcome_probabilities(povm, states)
     h_b = float(_entropy_rows(weights @ cond))
     h_cond = float(weights @ _entropy_rows(cond))
-    return InfoReport(mutual_info(cond, weights), h_b, h_cond, "finite-ensemble")
+    return InfoReport(h_b - h_cond, h_b, h_cond, "finite-ensemble")

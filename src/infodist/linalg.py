@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import HERM_GATE, PSD_SLACK, RECONSTRUCTION, SUPPORT_REL, WEIGHT
 from .errors import DimMismatchError, NonHermitianError, NonSquareError, NotPositiveError, WeightError
 
 
@@ -26,24 +26,24 @@ def require_square(a: np.ndarray) -> int:
     return a.shape[0]
 
 
-def _gated_eigh(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of (H + H†)/2, after rejecting asymmetry beyond ``tol.herm_gate``."""
+def _gated_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of (H + H†)/2, after rejecting asymmetry beyond ``HERM_GATE``."""
     require_square(h)
     asym = np.abs(h - dagger(h)).max() if h.size else 0.0
-    if not asym <= tol.herm_gate:  # a NaN entry fails too
+    if not asym <= HERM_GATE:  # a NaN entry fails too
         raise NonHermitianError(f"matrix is not Hermitian: max |H - H^dag| = {asym:.3e}")
     return np.linalg.eigh((h + dagger(h)) / 2)
 
 
-def herm_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with reproducible output.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and eigenvector
     columns ``v`` phase-fixed so that the largest-magnitude entry of each
     column is real and positive. The input is symmetrized as (H + H†)/2
-    first; asymmetry beyond ``tol.herm_gate`` is an error.
+    first; asymmetry beyond ``config.HERM_GATE`` is an error.
     """
-    w, v = _gated_eigh(h, tol)
+    w, v = _gated_eigh(h)
     if v.size:
         lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
         mag = np.hypot(lead.real, lead.imag)  # bit-equal to abs() of one entry; np.abs is not
@@ -51,44 +51,44 @@ def herm_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, 
     return w, v
 
 
-def _psd_support(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _psd_support(w: np.ndarray) -> np.ndarray:
     """Null-space cleanup of the ascending spectrum of a PSD matrix.
 
-    Eigenvalues below -tol.psd_slack raise NotPositiveError. Eigenvalues
-    below the support cutoff d * max(w) * tol.support_rel are zeroed, which
+    Eigenvalues below -PSD_SLACK raise NotPositiveError. Eigenvalues below
+    the support cutoff d * max(w) * SUPPORT_REL are zeroed, which
     keeps square roots of rank-deficient operators free of sqrt(eps) noise.
     """
-    if w.size and w[0] < -tol.psd_slack:
+    if w.size and w[0] < -PSD_SLACK:
         raise NotPositiveError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
-    cutoff = max(0.0, len(w) * (w[-1] if w.size else 0.0) * tol.support_rel)
+    cutoff = max(0.0, len(w) * (w[-1] if w.size else 0.0) * SUPPORT_REL)
     return np.where(w > cutoff, w, 0.0)
 
 
-def _psd_spectrum(p: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _psd_spectrum(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phase-fixed eigendecomposition of a PSD matrix with null-space cleanup."""
-    w, v = herm_eig(p, tol)
-    return _psd_support(w, tol), v
+    w, v = herm_eig(p)
+    return _psd_support(w), v
 
 
-def mat_sqrt(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def mat_sqrt(p: np.ndarray) -> np.ndarray:
     """Positive square root of a positive semidefinite matrix."""
-    w, v = _psd_spectrum(p, tol)
+    w, v = _psd_spectrum(p)
     return (v * np.sqrt(w)) @ dagger(v)
 
 
-def gen_inv_sqrt(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def gen_inv_sqrt(p: np.ndarray) -> np.ndarray:
     """Square root of the generalized (Moore-Penrose) inverse of a PSD matrix.
 
     Inverse square root on the support, zero on the null space. The column
     phases of V cancel in V f(w) V†, so this skips herm_eig's phase fix.
     """
-    w, v = _gated_eigh(p, tol)
-    w = _psd_support(w, tol)
+    w, v = _gated_eigh(p)
+    w = _psd_support(w)
     inv = np.where(w > 0, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
     return (v * inv) @ dagger(v)
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     Equals <psi|sigma|psi> when rho is the pure state |psi><psi|. The second
@@ -97,9 +97,9 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL) 
     """
     if rho.shape != sigma.shape:
         raise DimMismatchError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    root = mat_sqrt(rho, tol)
-    val = float(np.sum(np.sqrt(_psd_spectrum(root @ sigma @ root, tol)[0])) ** 2)
-    return min(val, 1.0) if val <= 1.0 + tol.reconstruction else val
+    root = mat_sqrt(rho)
+    val = float(np.sum(np.sqrt(_psd_spectrum(root @ sigma @ root)[0])) ** 2)
+    return min(val, 1.0) if val <= 1.0 + RECONSTRUCTION else val
 
 
 def haar_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -143,10 +143,10 @@ def outer(psi: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
     return np.outer(psi, phi.conj())
 
 
-def validate_distribution(weights, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def validate_distribution(weights) -> np.ndarray:
     """The weights as a float array, if they are nonnegative and sum to one
-    within ``tol.weight``; WeightError otherwise."""
+    within ``config.WEIGHT``; WeightError otherwise."""
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or abs(w.sum() - 1.0) > tol.weight:
+    if np.any(w < 0) or abs(w.sum() - 1.0) > WEIGHT:
         raise WeightError(f"weights must be nonnegative and sum to 1, got sum {float(w.sum())!r}")
     return w

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import ALGEBRAIC, PSD_SLACK, RECONSTRUCTION
 from .errors import (
     BadPartitionError,
     DimMismatchError,
@@ -77,7 +77,7 @@ class PovmDiagnostics:
     passed: bool
 
 
-def povm_validate(povm: POVM, tol: Tolerances = DEFAULT_TOL) -> PovmDiagnostics:
+def povm_validate(povm: POVM) -> PovmDiagnostics:
     """Report how far a POVM is from Hermitian, positive, complete."""
     herms = []
     psds = []
@@ -93,11 +93,11 @@ def povm_validate(povm: POVM, tol: Tolerances = DEFAULT_TOL) -> PovmDiagnostics:
     herm = float(np.max(herms, initial=0.0))
     psd = float(np.max(psds, initial=0.0))
     completeness = float(np.abs(total - np.eye(povm.dim)).max())
-    ok = herm <= tol.algebraic and psd <= tol.psd_slack and completeness <= tol.reconstruction
+    ok = herm <= ALGEBRAIC and psd <= PSD_SLACK and completeness <= RECONSTRUCTION
     return PovmDiagnostics(herm, psd, completeness, ok)
 
 
-def instrument_validate(inst: Instrument, tol: Tolerances = DEFAULT_TOL) -> float:
+def instrument_validate(inst: Instrument) -> float:
     """Max-entry residual of sum_bi A_bi† A_bi against the identity."""
     total = np.zeros((inst.dim, inst.dim), dtype=complex)
     for a in inst.kraus_ops():
@@ -105,13 +105,13 @@ def instrument_validate(inst: Instrument, tol: Tolerances = DEFAULT_TOL) -> floa
     return float(np.abs(total - np.eye(inst.dim)).max())
 
 
-def sqrt_instrument(povm: POVM, tol: Tolerances = DEFAULT_TOL) -> Instrument:
+def sqrt_instrument(povm: POVM) -> Instrument:
     """The instrument with one Kraus operator sqrt(F_b) per outcome.
 
     This is the generalized projection postulate: conditional update
     rho -> sqrt(F_b) rho sqrt(F_b).
     """
-    return Instrument(povm.dim, tuple((mat_sqrt(e, tol),) for e in povm.effects))
+    return Instrument(povm.dim, tuple((mat_sqrt(e),) for e in povm.effects))
 
 
 def apply_branch(inst: Instrument, b: int, rho: np.ndarray) -> tuple[np.ndarray, float]:
@@ -173,11 +173,7 @@ def coarse_grain(povm: POVM, partition: list[list[int]]) -> POVM:
     return POVM(povm.dim, tuple(effects), tuple(labels))
 
 
-def convex_mix(
-    procedures: list[tuple[POVM, Instrument]],
-    weights: list[float],
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[POVM, Instrument]:
+def convex_mix(procedures: list[tuple[POVM, Instrument]], weights: list[float]) -> tuple[POVM, Instrument]:
     """Convex mixture of measurement procedures with flagged outcomes.
 
     The mixed POVM is {w_i F_b^i}_ib and the mixed instrument carries
@@ -187,7 +183,7 @@ def convex_mix(
     """
     if len(procedures) != len(weights):
         raise WeightError("need one weight per procedure")
-    w = validate_distribution(weights, tol)
+    w = validate_distribution(weights)
     dim = procedures[0][0].dim
     effects, labels, branches = [], [], []
     for i, (povm, inst) in enumerate(procedures):
@@ -203,7 +199,7 @@ def convex_mix(
     return POVM(dim, tuple(effects), tuple(labels)), Instrument(dim, tuple(branches))
 
 
-def remix(kraus_ops: list[np.ndarray], m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
+def remix(kraus_ops: list[np.ndarray], m: np.ndarray) -> list[np.ndarray]:
     """Re-decompose an operation: A_i = sum_j m_ij B_j.
 
     ``m`` has shape (r, s) with r >= s and orthonormal columns (a maximal
@@ -216,20 +212,20 @@ def remix(kraus_ops: list[np.ndarray], m: np.ndarray, tol: Tolerances = DEFAULT_
     if m.shape[0] < m.shape[1]:
         raise NotIsometryError("mixing matrix must not reduce the number of operators")
     gram = dagger(m) @ m
-    if np.abs(gram - np.eye(m.shape[1])).max() > tol.algebraic:
+    if np.abs(gram - np.eye(m.shape[1])).max() > ALGEBRAIC:
         raise NotIsometryError("columns of the mixing matrix are not orthonormal")
     ops = np.stack([np.asarray(a, dtype=complex) for a in kraus_ops])
     return list(np.einsum("ij,jkl->ikl", m, ops))
 
 
-def reset_instrument(povm: POVM, psi0: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Instrument:
+def reset_instrument(povm: POVM, psi0: np.ndarray) -> Instrument:
     """Instrument compatible with ``povm`` that restores |psi0> regardless
     of input: A_bi = lambda_bi |psi0><bi| built from the eigensystem of
     sqrt(F_b). Maximally disturbing for every other input state."""
     psi0 = np.asarray(psi0, dtype=complex)
     branches = []
     for e in povm.effects:
-        w, v = herm_eig(e, tol)
+        w, v = herm_eig(e)
         w = np.clip(w, 0.0, None)
         # eigenvalues of sqrt(F_b) are the square roots of those of F_b
         ops = tuple(

@@ -250,7 +250,7 @@ def test_samples_below_two_exit_2(command, samples, qubit_basis_file, capsys):
 
 
 def test_twirl_check_nan_ratio_fails(qubit_basis_file, capsys, monkeypatch):
-    def nan_stderr(povm, rho, n_samples, rng, tol=None):
+    def nan_stderr(povm, rho, n_samples, rng):
         return rho, np.full(rho.shape, complex(np.nan, np.nan))
 
     monkeypatch.setattr(cli, "twirl_channel", nan_stderr)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import infodist as qd
-from infodist.errors import NonHermitianError, NonSquareError, NotPositiveError
+from infodist.errors import NonHermitianError, NonSquareError, NotIsometryError, NotPositiveError, WeightError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -290,3 +290,26 @@ def test_nan_fails_the_hermiticity_gate():
         qd.fidelity(NAN, np.eye(2, dtype=complex) / 2)
     with pytest.raises(NonHermitianError):
         qd.fidelity(np.eye(2, dtype=complex) / 2, NAN)
+
+
+def test_each_gate_sits_at_its_threshold():
+    # just outside, then just inside, each constant in infodist.config
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(NonHermitianError):  # HERM_GATE = 1e-8
+        qd.herm_eig(np.array([[1.0, 2e-8], [0.0, 1.0]], dtype=complex))
+    qd.herm_eig(np.array([[1.0, 5e-9], [0.0, 1.0]], dtype=complex))
+    with pytest.raises(NotPositiveError):  # PSD_SLACK = 1e-10
+        qd.mat_sqrt(np.diag([1.0, -2e-10]).astype(complex))
+    qd.mat_sqrt(np.diag([1.0, -5e-11]).astype(complex))
+    # SUPPORT_REL = 1e-12: the cutoff next to eigenvalue 1 in d = 2 is 2e-12
+    assert qd.gen_inv_sqrt(np.diag([1.0, 1e-13]).astype(complex))[1, 1] == 0.0
+    assert qd.gen_inv_sqrt(np.diag([1.0, 1e-11]).astype(complex))[1, 1] == pytest.approx(1e-11**-0.5)
+    with pytest.raises(WeightError):  # WEIGHT = 1e-12
+        qd.validate_distribution([0.5, 0.5 + 2e-12])
+    qd.validate_distribution([0.5, 0.5 + 5e-13])
+    # RECONSTRUCTION = 1e-9 on completeness
+    assert not qd.povm_validate(qd.POVM(2, ((1 + 2e-9) * eye,))).passed
+    assert qd.povm_validate(qd.POVM(2, ((1 + 5e-10) * eye,))).passed
+    with pytest.raises(NotIsometryError):  # ALGEBRAIC = 1e-10 on |m|^2 - 1
+        qd.remix([eye], np.array([[1 + 2e-10]]))
+    qd.remix([eye], np.array([[1 + 2e-11]]))
