@@ -3,7 +3,9 @@
 For the Haar ensemble every measurement whose effects are proportional to
 rank-one projectors extracts exactly log d - sum_{k=1}^{d-1} 1/(1+k) nats,
 no matter how the weights are distributed. The building blocks are two
-Haar integrals with closed forms, checked here by direct sampling.
+exact Haar integrals, checked here by direct sampling: the second moment
+``pair_moment`` and the average of q ln q, ``haar_xlogx``, which depends on
+the spectrum of the effect alone.
 """
 
 import numpy as np
@@ -14,19 +16,19 @@ rng = np.random.default_rng(7)
 
 print("== Haar integrals ==")
 a, b = qd.haar_states(3, 1, rng)[0], qd.haar_states(3, 1, rng)[0]
-exact = qd.jones_overlap_integral(a, b)
+exact = qd.pair_moment(qd.outer(a), qd.outer(b)).real
 states = qd.haar_states(3, 200_000, rng)
 vals = np.abs(states @ a.conj()) ** 2 * np.abs(states @ b.conj()) ** 2
 print(f"E |<psi|a>|^2 |<psi|b>|^2 = {exact:.6f}  (sampled {vals.mean():.6f})")
 
-exact = qd.xlogx_integral(3)
+exact = qd.haar_xlogx([1.0, 0.0, 0.0])
 u = np.abs(states[:, 0]) ** 2
 print(f"E u ln u with u=|<0|psi>|^2 = {exact:.6f}  (sampled {np.mean(u * np.log(u)):.6f})\n")
 
 print("== mutual information of fine-grained measurements ==")
 for d in (2, 3, 4, 5):
     print(f"d={d}: I_max = {qd.info_finegrained_exact(d):.6f} nats"
-          f" = {qd.info_finegrained_exact(d, bits=True):.6f} bits")
+          f" = {qd.info_finegrained_exact(d) / np.log(2):.6f} bits")
 
 print("\nThe value does not depend on which rank-one POVM is measured:")
 for name, povm in [("basis", qd.basis_povm(2)), ("trine", qd.trine_povm()),

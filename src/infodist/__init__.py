@@ -23,6 +23,7 @@ from .linalg import (
     haar_unitaries,
     herm_eig,
     mat_sqrt,
+    mean_stderr,
     outer,
     random_density,
     random_stinespring_isometry,
@@ -68,9 +69,6 @@ from .information import (
     info_finegrained_exact,
     info_finite_ensemble,
     info_uniform_mc,
-    jones_overlap_integral,
-    mutual_info,
-    xlogx_integral,
 )
 from .galois import (
     FieldSpec,
@@ -92,7 +90,6 @@ from .frontier import (
     depolarize,
     depolarizing_instrument,
     frontier_curve,
-    line_candidate,
     twirl_channel,
     twirl_depolarizing_p,
 )

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: mub, design-check, disturbance, info, frontier, twirl-check.
-All randomness is seeded (flag --seed, env QF_SEED, default 0; never the
-clock), so identical invocations produce byte-identical outputs.
+All randomness is seeded (flag --seed, default 0; never the clock), so
+identical invocations produce byte-identical outputs.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 convergence
 warning (soft failure unless --allow-nonconverged).
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -40,24 +39,11 @@ class ConvergenceFailure(Exception):
     pass
 
 
-def _resolve_seed(args) -> int:
-    """--seed, else the QF_SEED environment variable, else 0; never the clock."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QF_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"QF_SEED must be an integer, got {env!r}") from exc
-    return 0
-
-
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
@@ -83,14 +69,17 @@ def _load_povm(path: str) -> POVM:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def cmd_mub(args) -> int:
     try:
-        mub = wootters_fields_mub(args.p, args.n, cap=args.cap)
+        mub = wootters_fields_mub(args.p, args.n)
     except ValueError as exc:  # even or non-prime p, n < 1, dimension over the cap
         raise ValidationFailure(str(exc)) from exc
     _emit(serialize.dumps(serialize.mubset_to_json(mub, p=args.p, n=args.n)), args.out)
@@ -109,7 +98,7 @@ def cmd_design_check(args) -> int:
         vectors = np.concatenate([b.T for b in bases], axis=0)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{args.infile} does not encode bases: {exc}") from exc
-    deviation = design_check(vectors, args.trials, np.random.default_rng(_resolve_seed(args)))
+    deviation = design_check(vectors, args.trials, np.random.default_rng(args.seed))
     print(f"max deviation over {args.trials} random degree-2 functionals: {deviation:.17g}")
     if not deviation < ALGEBRAIC:  # a NaN deviation fails too
         raise ValidationFailure(f"vectors are not a 2-design (deviation {deviation:.3e} >= {ALGEBRAIC:.0e})")
@@ -121,7 +110,7 @@ def cmd_disturbance(args) -> int:
     if args.method == "exact":
         report = min_disturbance_uniform(povm)
     elif args.method == "mc":
-        report = avg_fidelity_mc(sqrt_instrument(povm), args.samples, np.random.default_rng(_resolve_seed(args)))
+        report = avg_fidelity_mc(sqrt_instrument(povm), args.samples, np.random.default_rng(args.seed))
     else:
         pp = odd_prime_power(povm.dim)
         if pp is None:
@@ -136,7 +125,7 @@ def cmd_disturbance(args) -> int:
 
 def cmd_info(args) -> int:
     povm = _load_povm(args.povm)
-    report = info_uniform_mc(povm, args.samples, np.random.default_rng(_resolve_seed(args)))
+    report = info_uniform_mc(povm, args.samples, np.random.default_rng(args.seed))
     if args.bits:
         report = report.in_bits()
     _emit(serialize.dumps(serialize.report_to_json(report)), args.out)
@@ -144,17 +133,13 @@ def cmd_info(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    if args.d < 2:
-        raise UsageError("dimension must be at least 2")
-    if args.grid < 2:
-        raise UsageError("grid needs at least two points")
     grid = list(np.linspace(0.0, args.d / (args.d + 1), args.grid))
     points = frontier_curve(
         args.d,
         grid,
         samples=args.samples,
         restarts=args.restarts,
-        rng=np.random.default_rng(_resolve_seed(args)),
+        rng=np.random.default_rng(args.seed),
         max_iter=args.max_iter,
     )
     _emit(serialize.frontier_to_csv(points), args.out)
@@ -171,7 +156,7 @@ def cmd_frontier(args) -> int:
 
 def cmd_twirl_check(args) -> int:
     povm = _load_povm(args.povm)
-    rng = np.random.default_rng(_resolve_seed(args))
+    rng = np.random.default_rng(args.seed)
     p_star = twirl_depolarizing_p(povm)
     ratios = []
     for _ in range(args.states):
@@ -213,7 +198,7 @@ def _at_least(low: int):
 
 def _add_common(parser: argparse.ArgumentParser, seed=True) -> None:
     if seed:
-        parser.add_argument("--seed", type=int, default=None, help="RNG seed (overrides QF_SEED; default 0)")
+        parser.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed (default 0)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -227,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mub = sub.add_parser("mub", help="construct mutually unbiased bases in dimension p^n")
     p_mub.add_argument("--p", type=int, required=True, help="odd prime characteristic")
     p_mub.add_argument("--n", type=int, default=1, help="field extension degree")
-    p_mub.add_argument("--cap", type=int, default=49, help="largest allowed dimension")
     _add_common(p_mub, seed=False)
     p_mub.set_defaults(func=cmd_mub)
 
@@ -252,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.set_defaults(func=cmd_info)
 
     p_fr = sub.add_parser("frontier", help="information-disturbance frontier of the uniform ensemble")
-    p_fr.add_argument("--d", type=int, required=True)
-    p_fr.add_argument("--grid", type=int, default=11, help="number of p values on [0, d/(d+1)]")
+    p_fr.add_argument("--d", type=_at_least(2), required=True)
+    p_fr.add_argument("--grid", type=_at_least(2), default=11, help="number of p values on [0, d/(d+1)]")
     p_fr.add_argument(
         "--samples", type=_at_least(2), default=200, help="Haar states in each point's Monte Carlo re-score (JSON only)"
     )

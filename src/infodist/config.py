@@ -1,4 +1,4 @@
-"""Numerical thresholds shared by all modules.
+"""Numerical thresholds shared by all modules, and the size limit of ``mub``.
 
 The identities this package checks are exact, so each kind of identity is
 tested against one fixed threshold. These are package-wide constants; no
@@ -13,6 +13,7 @@ HERM_GATE      : asymmetry beyond which a matrix is rejected instead of
 SUPPORT_REL    : relative eigenvalue cutoff (times dim * max eigenvalue)
                  below which spectrum is treated as null space
 WEIGHT         : slack for probability weights summing to one
+MUB_CAP        : largest dimension p^n for which unbiased bases are built
 """
 
 ALGEBRAIC = 1e-10
@@ -21,3 +22,4 @@ PSD_SLACK = 1e-10
 HERM_GATE = 1e-8
 SUPPORT_REL = 1e-12
 WEIGHT = 1e-12
+MUB_CAP = 49

@@ -20,6 +20,7 @@ from .linalg import (
     fidelity,
     haar_states,
     mat_sqrt,
+    mean_stderr,
     outer,
     require_square,
     validate_distribution,
@@ -101,11 +102,9 @@ def _branch_overlap_samples(inst: Instrument, states: np.ndarray) -> np.ndarray:
 
 def avg_fidelity_mc(inst: Instrument, n_samples: int, rng: np.random.Generator) -> DisturbanceReport:
     """Monte Carlo estimate of the Haar-average fidelity with its stderr."""
-    if n_samples < 2:
-        raise ValueError("need at least two samples for a standard error")
     vals = _branch_overlap_samples(inst, haar_states(inst.dim, n_samples, rng))
-    stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
-    return _report(float(vals.mean()), "monte-carlo", stderr, n_samples)
+    mean, stderr = map(float, mean_stderr(vals))
+    return _report(mean, "monte-carlo", stderr, n_samples)
 
 
 def avg_fidelity_design(inst: Instrument, design: np.ndarray) -> DisturbanceReport:

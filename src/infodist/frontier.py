@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disturbance import min_disturbance_uniform
 from .errors import ConvergenceWarning, DimMismatchError
 from .information import haar_xlogx, info_finegrained_exact
-from .linalg import dagger, haar_states, haar_unitaries, mat_sqrt, random_density
-from .measurement import POVM, Instrument, apply_channel, basis_povm, convex_mix, sqrt_instrument
+from .linalg import dagger, haar_states, haar_unitaries, mat_sqrt, mean_stderr, random_density
+from .measurement import POVM, Instrument, apply_channel
 
 
 def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
@@ -104,9 +103,9 @@ def twirl_channel(povm: POVM, rho: np.ndarray, n_samples: int, rng: np.random.Ge
     for r in roots:
         conj = us @ r @ uds
         vals += conj @ rho @ conj.conj().transpose(0, 2, 1)
-    mean = vals.mean(axis=0)
-    stderr = (vals.real.std(axis=0, ddof=1) + 1j * vals.imag.std(axis=0, ddof=1)) / np.sqrt(n_samples)
-    return mean, stderr
+    # viewed as (n, d, 2d) reals, each real and each imaginary part is a sample of its own
+    mean, stderr = mean_stderr(vals.view(float))
+    return mean.view(complex), stderr.view(complex)
 
 
 # -- the envelope of the seed curve ---------------------------------------------
@@ -242,8 +241,8 @@ def _solve(phi_star: float, pool: list[_Seed], starts: np.ndarray, max_iter: int
 def _rescore(spectra: np.ndarray, weights: np.ndarray, samples: int, rng: np.random.Generator):
     """Monte Carlo estimate of sum_k m_k E_psi[q_k ln q_k] over Haar states, with its stderr."""
     q = np.abs(haar_states(spectra.shape[1], samples, rng)) ** 2 @ spectra.T
-    x = (q * np.log(np.where(q > 0, q, 1.0))) @ weights
-    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(samples))
+    mean, stderr = mean_stderr((q * np.log(np.where(q > 0, q, 1.0))) @ weights)
+    return float(mean), float(stderr)
 
 
 # -- the frontier --------------------------------------------------------------
@@ -256,23 +255,6 @@ class FrontierPoint:
     info_lower_bound: float
     line_info: float
     optimizer_meta: dict = field(default_factory=dict)
-
-
-def line_candidate(d: int, alpha_grid: list[float]) -> list[tuple[float, float]]:
-    """(information, disturbance) for the do-nothing / fine-grained mixture
-    {alpha I, (1-alpha) |b><b|}: the straight line between the frontier
-    endpoints. Disturbance is evaluated through the mixed POVM itself."""
-    i_max = info_finegrained_exact(d)
-    trivial = POVM(d, (np.eye(d, dtype=complex),))
-    basis = basis_povm(d)
-    procedures = [(trivial, sqrt_instrument(trivial)), (basis, sqrt_instrument(basis))]
-    points = []
-    for alpha in alpha_grid:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-        mixed, _ = convex_mix(procedures, [alpha, 1.0 - alpha])
-        points.append(((1.0 - alpha) * i_max, min_disturbance_uniform(mixed).disturbance))
-    return points
 
 
 def frontier_curve(
@@ -296,11 +278,12 @@ def frontier_curve(
     ``optimizer_meta``. Those seeds are re-scored by Monte Carlo over
     ``samples`` Haar states, a check that does not enter the reported value.
     Warnings raised while solving a point are recorded in its metadata and
-    raised again. ``line_info`` is the straight-line candidate rescaled to
-    the same parameter.
+    raised again. ``line_info`` is the straight-line candidate at the same
+    disturbance: the flagged mix of doing nothing and the basis measurement,
+    with basis weight p(d+1)/d, carries that fraction of I_max.
     """
-    if samples < 2:
-        raise ValueError("need at least two samples for a standard error")
+    if samples < 2:  # the re-score's standard error needs two; fail before any solve
+        raise ValueError(f"the re-score needs samples >= 2, got {samples!r}")
     if max_iter < 1:
         raise ValueError("each ascent needs a budget of at least one iteration")
     p_max = d / (d + 1)

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import MUB_CAP
 from .errors import DimMismatchError, EvenPrimeError
 
 
@@ -156,19 +157,20 @@ def _trace_tables(p: int, n: int) -> tuple[FieldSpec, np.ndarray, np.ndarray]:
     return spec, spec.trace[spec.mul[:, squares]], spec.trace[spec.mul]
 
 
-def wootters_fields_mub(p: int, n: int, cap: int = 49) -> MubSet:
+def wootters_fields_mub(p: int, n: int) -> MubSet:
     """The d+1 mutually unbiased bases in dimension d = p^n, p an odd prime.
 
     In the standard basis, vector j of basis k has l-th component
     omega^(Tr[k l^2 + j l]) / sqrt(d) with omega = exp(2 pi i / p).
+    Dimensions above ``config.MUB_CAP`` are refused.
     """
     if p == 2:
         raise EvenPrimeError("even prime unsupported: the construction needs odd characteristic")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     d = p**n
-    if d > cap:
-        raise ValueError(f"dimension {d} exceeds the configured cap {cap}")
+    if d > MUB_CAP:
+        raise ValueError(f"dimension {d} exceeds the configured cap {MUB_CAP}")
     _, s_table, t_table = _trace_tables(p, n)
     # roots of unity from exact angles, exponents reduced mod p first
     omega = np.exp(2j * np.pi * np.arange(p) / p)

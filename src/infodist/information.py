@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError
-from .linalg import haar_states, validate_distribution
+from .linalg import haar_states, mean_stderr, validate_distribution
 from .measurement import POVM
 
 LN2 = float(np.log(2.0))
@@ -51,29 +50,11 @@ def _harmonic_tail(d: int) -> float:
     return float(sum(1.0 / (1 + k) for k in range(1, d)))
 
 
-def info_finegrained_exact(d: int, bits: bool = False) -> float:
+def info_finegrained_exact(d: int) -> float:
     """Mutual information of any rank-one-proportional POVM on Haar states."""
     if d < 1:
         raise ValueError("dimension must be positive")
-    val = float(np.log(d)) - _harmonic_tail(d)
-    return val / LN2 if bits else val
-
-
-def jones_overlap_integral(a: np.ndarray, b: np.ndarray) -> float:
-    """Haar average of |<psi|a>|^2 |<psi|b>|^2 = (1 + |<a|b>|^2) / (d(d+1))."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    d = a.shape[0]
-    return float((1.0 + abs(np.vdot(a, b)) ** 2) / (d * (d + 1)))
-
-
-def xlogx_integral(d: int) -> float:
-    """Haar average of |<b|psi>|^2 ln |<b|psi>|^2 for any fixed unit |b>."""
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    return -_harmonic_tail(d) / d
+    return float(np.log(d)) - _harmonic_tail(d)
 
 
 # Trapezoid nodes t = e^u, u = -36, -35.5, ..., 36, for the integrals over t in (0, inf) in
@@ -117,11 +98,6 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
 
 
-def mutual_info(p_cond: np.ndarray, weights: np.ndarray) -> float:
-    """I = H(C) - sum_a w_a H(C|a) from p_cond[a, c] = p(c | state a)."""
-    return float(_entropy_rows(weights @ p_cond) - weights @ _entropy_rows(p_cond))
-
-
 def _outcome_probabilities(povm: POVM, states: np.ndarray) -> np.ndarray:
     """p(b|psi) = <psi|F_b|psi> for each state row; shape (n, outcomes).
 
@@ -142,14 +118,11 @@ def info_uniform_mc(povm: POVM, n_samples: int, rng: np.random.Generator) -> Inf
     ensemble); only the conditional term H(B|Psi) carries sampling noise,
     so the reported stderr applies to both it and the mutual information.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples for a standard error")
     d = povm.dim
     p_b = np.asarray([np.trace(e).real / d for e in povm.effects])
     h_b = float(_entropy_rows(p_b[None, :])[0])
     cond = _entropy_rows(_outcome_probabilities(povm, haar_states(d, n_samples, rng)))
-    h_cond = float(cond.mean())
-    stderr = float(cond.std(ddof=1) / np.sqrt(n_samples))
+    h_cond, stderr = map(float, mean_stderr(cond))
     return InfoReport(h_b - h_cond, h_b, h_cond, "monte-carlo", stderr, n_samples)
 
 

@@ -1,7 +1,8 @@
 """Dense complex linear algebra primitives.
 
 Hermitian eigendecomposition with a fixed phase convention, operator square
-roots with support truncation, Uhlmann fidelity and Haar sampling.
+roots with support truncation, Uhlmann fidelity, Haar sampling and the
+standard error of a sample mean.
 Everything works on plain complex numpy arrays and takes an explicit
 ``numpy.random.Generator`` where randomness is involved, so results are
 reproducible bit for bit from a seed.
@@ -150,3 +151,12 @@ def validate_distribution(weights) -> np.ndarray:
     if np.any(w < 0) or abs(w.sum() - 1.0) > WEIGHT:
         raise WeightError(f"weights must be nonnegative and sum to 1, got sum {float(w.sum())!r}")
     return w
+
+
+def mean_stderr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of the n samples ``x`` along the first axis and its standard
+    error std(ddof=1) / sqrt(n); ValueError unless n >= 2."""
+    n = len(x)
+    if n < 2:
+        raise ValueError("need at least two samples for a standard error")
+    return x.mean(axis=0), x.std(axis=0, ddof=1) / np.sqrt(n)

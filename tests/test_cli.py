@@ -135,14 +135,35 @@ def test_info_trivial(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["mutual_info"] == 0.0
 
 
-def test_seed_env_and_flag_precedence(qubit_basis_file, capsys, monkeypatch):
-    monkeypatch.setenv("QF_SEED", "11")
+def test_seed_defaults_to_zero(qubit_basis_file, capsys):
     assert main(["info", "--povm", qubit_basis_file, "--samples", "2000"]) == 0
-    from_env = capsys.readouterr().out
-    assert main(["info", "--povm", qubit_basis_file, "--samples", "2000", "--seed", "11"]) == 0
-    assert capsys.readouterr().out == from_env
+    default = capsys.readouterr().out
+    assert main(["info", "--povm", qubit_basis_file, "--samples", "2000", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == default
     assert main(["info", "--povm", qubit_basis_file, "--samples", "2000", "--seed", "12"]) == 0
-    assert capsys.readouterr().out != from_env
+    assert capsys.readouterr().out != default
+    with pytest.raises(SystemExit) as exc:  # numpy refuses negative seeds with a ValueError
+        main(["info", "--povm", qubit_basis_file, "--seed", "-1"])
+    assert exc.value.code == 2 and "--seed: must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda tmp: ["info", "--povm", str(tmp)],  # a directory
+        lambda tmp: ["info", "--povm", str(tmp / "latin1.json")],  # not UTF-8
+        lambda tmp: ["design-check", "--in", str(tmp / "latin1.json")],
+        lambda tmp: ["mub", "--p", "3", "--out", str(tmp / "missing" / "x.json")],
+        lambda tmp: ["frontier", "--d", "2", "--grid", "2", "--out", str(tmp / "missing" / "x.csv")],
+        lambda tmp: ["frontier", "--d", "2", "--grid", "2", "--out", str(tmp / "c.csv"), "--json", str(tmp)],
+    ],
+    ids=["read-directory", "read-non-utf8", "design-check-non-utf8", "mub-out", "frontier-out", "frontier-json"],
+)
+def test_unreadable_input_or_unwritable_output_exit_2(make_argv, tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes(b'{"dim": 2, "label": "\xe9"}')
+    assert main(make_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_repeated_runs_are_byte_identical(qubit_basis_file, tmp_path):
@@ -193,6 +214,15 @@ def test_frontier_empty_budget_exit_2(option, value, capsys):
     err = capsys.readouterr().err
     least = 2 if option == "--samples" else 1
     assert f"{option}: must be at least {least}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--d", "--grid"])
+def test_frontier_dimension_and_grid_below_two_exit_2(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["frontier", "--d", "2", "--grid", "2", option, "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{option}: must be at least 2, got 1" in err and "Traceback" not in err
 
 
 def test_frontier_samples_only_size_the_rescore(tmp_path):
@@ -268,6 +298,9 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["mub", "--p", "3", "--threads", "2"])  # the no-op option is gone
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["mub", "--p", "3", "--cap", "9"])  # the cap is the constant config.MUB_CAP
     assert exc.value.code == 2
 
     # the --tol-* overrides are gone: they could only loosen validation gates

@@ -224,25 +224,21 @@ def test_covariant_seed_reduces_environment_overlap():
 
 
 def test_line_candidate():
-    i_max = qd.info_finegrained_exact(2)
-    points = qd.line_candidate(2, [1.0, 0.5, 0.0])
-    info, dist = points[0]
-    assert info == 0.0 and dist == pytest.approx(0.0, abs=1e-12)
-    info, dist = points[1]
-    assert info == pytest.approx(0.5 * i_max, abs=1e-12)
-    assert dist == pytest.approx(1.0 / 6.0, abs=1e-12)
-    assert info == pytest.approx(0.09657359027997264, abs=1e-10)
-    info, dist = points[2]
-    assert info == pytest.approx(i_max, abs=1e-12)
-    assert dist == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
-def test_line_candidate_matches_closed_form_other_dims():
-    for d in (3, 4):
-        i_max = qd.info_finegrained_exact(d)
-        for (info, dist), alpha in zip(qd.line_candidate(d, [0.3, 0.8]), (0.3, 0.8)):
-            assert info == pytest.approx((1 - alpha) * i_max, abs=1e-12)
-            assert dist == pytest.approx((1 - alpha) * (d - 1) / (d + 1), abs=1e-12)
+    # line_info is the straight line between the endpoints: the flagged mix of doing nothing and
+    # the basis measurement at the point's disturbance, whose Haar information is exact
+    for d in (2, 3, 4):
+        trivial = qd.POVM(d, (np.eye(d, dtype=complex),))
+        basis = qd.basis_povm(d)
+        procedures = [(trivial, qd.sqrt_instrument(trivial)), (basis, qd.sqrt_instrument(basis))]
+        grid = list(np.linspace(0.0, d / (d + 1), 4))
+        for pt in qd.frontier_curve(d, grid, np.random.default_rng(d), samples=2):
+            w = pt.p * (d + 1) / d
+            mixed, _ = qd.convex_mix(procedures, [1.0 - w, w])
+            assert qd.min_disturbance_uniform(mixed).disturbance == pytest.approx(pt.disturbance, abs=1e-12)
+            spectra = np.clip([np.linalg.eigvalsh(e) for e in mixed.effects], 0.0, None)
+            qbar = spectra.sum(axis=1) / d
+            info = np.sum(qd.haar_xlogx(spectra)) - np.sum(qbar * np.log(np.where(qbar > 0, qbar, 1.0)))
+            assert info == pytest.approx(pt.line_info, abs=1e-12)
 
 
 def test_frontier_curve_small_budget():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import infodist as qd
+from infodist.config import MUB_CAP
 from infodist.errors import EvenPrimeError
 from infodist.galois import _trace_tables
 
@@ -165,9 +166,10 @@ def test_mub_validate_nan_propagates():
 def test_mub_rejects_even_prime_and_cap():
     with pytest.raises(EvenPrimeError):
         qd.wootters_fields_mub(2, 1)
-    with pytest.raises(ValueError):
-        qd.wootters_fields_mub(11, 2)  # 121 > default cap
-    qd.wootters_fields_mub(7, 2, cap=49)  # at the cap is allowed
+    assert MUB_CAP == 49
+    with pytest.raises(ValueError, match="exceeds the configured cap 49"):
+        qd.wootters_fields_mub(11, 2)  # 121 > the cap
+    qd.wootters_fields_mub(7, 2)  # at the cap is allowed
 
 
 def test_design_operator_single_vector():

@@ -11,14 +11,22 @@ def test_finegrained_closed_form():
     assert qd.info_finegrained_exact(1) == 0.0
     assert qd.info_finegrained_exact(2) == pytest.approx(LN2 - 0.5, abs=1e-14)
     assert qd.info_finegrained_exact(3) == pytest.approx(np.log(3) - 5.0 / 6.0, abs=1e-14)
-    assert qd.info_finegrained_exact(2, bits=True) == pytest.approx((LN2 - 0.5) / LN2, abs=1e-14)
+
+
+def _jones(a, b):
+    """Haar average of |<psi|a>|^2 |<psi|b>|^2, as the pair moment of two projectors."""
+    return qd.pair_moment(qd.outer(a), qd.outer(b))
 
 
 def test_jones_overlap_closed_form():
     e0 = np.array([1, 0], dtype=complex)
     e1 = np.array([0, 1], dtype=complex)
-    assert qd.jones_overlap_integral(e0, e0) == pytest.approx(1.0 / 3.0)
-    assert qd.jones_overlap_integral(e0, e1) == pytest.approx(1.0 / 6.0)
+    assert _jones(e0, e0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert _jones(e0, e1) == pytest.approx(1.0 / 6.0, abs=1e-15)
+    rng = np.random.default_rng(49)
+    for d in (2, 3, 5):
+        a, b = qd.haar_states(d, 2, rng)
+        assert _jones(a, b) == pytest.approx((1.0 + abs(np.vdot(a, b)) ** 2) / (d * (d + 1)), abs=1e-15)
 
 
 def test_jones_overlap_against_sampling():
@@ -28,20 +36,21 @@ def test_jones_overlap_against_sampling():
     states = qd.haar_states(d, n, rng)
     vals = np.abs(states @ a.conj()) ** 2 * np.abs(states @ b.conj()) ** 2
     stderr = vals.std(ddof=1) / np.sqrt(n)
-    assert abs(vals.mean() - qd.jones_overlap_integral(a, b)) < 5 * stderr
+    assert abs(vals.mean() - _jones(a, b).real) < 5 * stderr
 
 
 def test_xlogx_integral():
-    assert qd.xlogx_integral(1) == 0.0
-    assert qd.xlogx_integral(2) == pytest.approx(-0.25, abs=1e-14)
-    assert qd.xlogx_integral(3) == pytest.approx(-5.0 / 18.0, abs=1e-14)
+    # E u ln u for u = |<b|psi>|^2 is haar_xlogx of a rank-one projector
+    assert qd.haar_xlogx([1.0]) == pytest.approx(0.0, abs=1e-14)
+    assert qd.haar_xlogx([1.0, 0.0]) == pytest.approx(-0.25, abs=1e-14)
+    assert qd.haar_xlogx([1.0, 0.0, 0.0]) == pytest.approx(-5.0 / 18.0, abs=1e-14)
 
     rng = np.random.default_rng(51)
     d, n = 3, 100_000
     u = np.abs(qd.haar_states(d, n, rng)[:, 0]) ** 2
     vals = np.where(u > 0, u * np.log(u), 0.0)
     stderr = vals.std(ddof=1) / np.sqrt(n)
-    assert abs(vals.mean() - qd.xlogx_integral(d)) < 5 * stderr
+    assert abs(vals.mean() - qd.haar_xlogx([1.0, 0.0, 0.0])) < 5 * stderr
 
 
 def test_info_uniform_mc_trivial_is_exact_zero():
@@ -135,10 +144,15 @@ def test_info_coarse_graining_monotone():
 
 def test_mutual_info_nan_row_is_nan():
     # a NaN probability must not be read as 0 log 0
-    p_cond = np.array([[np.nan, np.nan], [0.5, 0.5], [1.0, 0.0]])
-    assert np.isnan(qd.mutual_info(p_cond, np.full(3, 1.0 / 3.0)))
+    basis = qd.basis_povm(2)
+    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
+    e0 = np.array([1, 0], dtype=complex)
+    nan_state = np.full(2, np.nan, dtype=complex)
+    report = qd.info_finite_ensemble(basis, [(nan_state, 1.0 / 3.0), (plus, 1.0 / 3.0), (e0, 1.0 / 3.0)])
+    assert np.isnan(report.mutual_info)
     h_c = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
-    assert qd.mutual_info(p_cond[1:], np.full(2, 0.5)) == pytest.approx(h_c - 0.5 * LN2, abs=1e-15)
+    report = qd.info_finite_ensemble(basis, [(plus, 0.5), (e0, 0.5)])
+    assert report.mutual_info == pytest.approx(h_c - 0.5 * LN2, abs=1e-15)
 
 
 def _haar_info(povm):
@@ -155,7 +169,8 @@ def test_haar_xlogx_rank_one_and_flat():
     for d in range(2, 11):
         e = np.zeros(d)
         e[0] = 1.0
-        assert qd.haar_xlogx(e) == pytest.approx(qd.xlogx_integral(d), abs=1e-12)
+        h_d = sum(1.0 / k for k in range(1, d + 1))
+        assert qd.haar_xlogx(e) == pytest.approx(-(h_d - 1.0) / d, abs=1e-12)
         assert qd.haar_xlogx(d * e) == pytest.approx(qd.info_finegrained_exact(d), abs=1e-12)
         assert qd.haar_xlogx(np.ones(d)) == pytest.approx(0.0, abs=1e-12)
         assert qd.haar_xlogx(np.full(d, 0.3)) == pytest.approx(0.3 * np.log(0.3), abs=1e-12)

@@ -313,3 +313,19 @@ def test_each_gate_sits_at_its_threshold():
     with pytest.raises(NotIsometryError):  # ALGEBRAIC = 1e-10 on |m|^2 - 1
         qd.remix([eye], np.array([[1 + 2e-10]]))
     qd.remix([eye], np.array([[1 + 2e-11]]))
+
+
+_SAMPLERS = {
+    "info_uniform_mc": lambda n, rng: qd.info_uniform_mc(qd.basis_povm(2), n, rng),
+    "avg_fidelity_mc": lambda n, rng: qd.avg_fidelity_mc(qd.sqrt_instrument(qd.basis_povm(2)), n, rng),
+    "frontier_curve": lambda n, rng: qd.frontier_curve(2, [0.0, 2.0 / 3.0], rng, samples=n),
+    "twirl_channel": lambda n, rng: qd.twirl_channel(qd.basis_povm(2), np.eye(2) / 2, n, rng),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("name", sorted(_SAMPLERS))
+def test_fewer_than_two_samples_raise(name, n):
+    # a standard error needs two samples; one would give NaN with a RuntimeWarning, none a NaN mean
+    with pytest.raises(ValueError, match="samples"):
+        _SAMPLERS[name](n, np.random.default_rng(0))
