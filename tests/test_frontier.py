@@ -241,6 +241,16 @@ def test_line_candidate():
             assert info == pytest.approx(pt.line_info, abs=1e-12)
 
 
+def test_line_candidate_matches_closed_form_other_dims():
+    # at mixing weight w = p (d+1)/d the line is (w I_max, w (d-1)/(d+1))
+    for d in (3, 4):
+        i_max = qd.info_finegrained_exact(d)
+        grid = [0.3 * d / (d + 1), 0.8 * d / (d + 1)]
+        for pt, w in zip(qd.frontier_curve(d, grid, np.random.default_rng(d), samples=2), (0.3, 0.8)):
+            assert pt.line_info == pytest.approx(w * i_max, abs=1e-12)
+            assert pt.disturbance == pytest.approx(w * (d - 1) / (d + 1), abs=1e-12)
+
+
 def test_frontier_curve_small_budget():
     rng = np.random.default_rng(80)
     grid = [0.0, 1.0 / 3.0, 2.0 / 3.0]
