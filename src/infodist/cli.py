@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .config import ALGEBRAIC
+from .config import ALGEBRAIC, STDERR_FLOOR
 from .disturbance import avg_fidelity_design, avg_fidelity_mc, min_disturbance_uniform
 from .errors import InfodistError
 from .frontier import depolarize, frontier_curve, twirl_channel, twirl_depolarizing_p
@@ -142,9 +142,10 @@ def cmd_frontier(args) -> int:
         rng=np.random.default_rng(args.seed),
         max_iter=args.max_iter,
     )
-    _emit(serialize.frontier_to_csv(points), args.out)
-    if args.json is not None:
+    csv = serialize.frontier_to_csv(points)
+    if args.json is not None:  # first, so a --json that cannot be written leaves no finished-looking CSV
         _emit(serialize.dumps(serialize.frontier_to_json(points)), args.json)
+    _emit(csv, args.out)
     stragglers = [pt.p for pt in points if not pt.optimizer_meta.get("converged", False)]
     if stragglers and not args.allow_nonconverged:
         raise ConvergenceFailure(
@@ -163,8 +164,10 @@ def cmd_twirl_check(args) -> int:
         rho = random_density(povm.dim, rng)
         mean, stderr = twirl_channel(povm, rho, args.samples, rng)
         diff = mean - depolarize(rho, p_star)
-        floor = 1e-12
-        ratios += [np.abs(diff.real) / (5 * stderr.real + floor), np.abs(diff.imag) / (5 * stderr.imag + floor)]
+        ratios += [
+            np.abs(diff.real) / (5 * stderr.real + STDERR_FLOOR),
+            np.abs(diff.imag) / (5 * stderr.imag + STDERR_FLOOR),
+        ]
     # np.max propagates NaN, and a NaN ratio fails the comparison
     worst = float(np.max(ratios))
     passed = worst <= 1.0

@@ -13,6 +13,8 @@ HERM_GATE      : asymmetry beyond which a matrix is rejected instead of
 SUPPORT_REL    : relative eigenvalue cutoff (times dim * max eigenvalue)
                  below which spectrum is treated as null space
 WEIGHT         : slack for probability weights summing to one
+STDERR_FLOOR   : added to a Monte Carlo 5-stderr band (twirl-check) so an
+                 entry whose samples do not vary is judged, not divided by 0
 MUB_CAP        : largest dimension p^n for which unbiased bases are built
 """
 
@@ -22,4 +24,5 @@ PSD_SLACK = 1e-10
 HERM_GATE = 1e-8
 SUPPORT_REL = 1e-12
 WEIGHT = 1e-12
+STDERR_FLOOR = 1e-12
 MUB_CAP = 49

@@ -1,8 +1,16 @@
 """JSON and CSV encodings for matrices, measurements and reports.
 
 A complex matrix is encoded as {"rows": r, "cols": c, "data": [[re, im],
-...]} with the entries row-major. CSV output uses 17 significant digits,
-'.' decimals and LF line endings so doubles round-trip losslessly.
+...]} with the entries row-major. In memory ``data`` is a float array of
+shape (rows * cols, 2); on disk it is that list of pairs.
+
+JSON output is defined as the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2)`` plus a newline, with every array rendered as its ``tolist()``.
+``dumps`` writes exactly those bytes, but formats matrix payloads in bulk:
+each distinct double is formatted once and the indented pairs are laid out
+by one C-level ``str.format``. Dicts, lists and scalars keep json's own
+rendering. CSV output uses 17 significant digits, '.' decimals and LF line
+endings so doubles round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ def matrix_to_json(a: np.ndarray) -> dict:
     return {
         "rows": a.shape[0],
         "cols": a.shape[1],
-        "data": [[float(z.real), float(z.imag)] for z in a.ravel()],
+        "data": np.stack([a.real.ravel(), a.imag.ravel()], axis=1),
     }
 
 
@@ -37,10 +45,15 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError("matrix dimensions must be positive")
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} does not equal rows*cols = {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in data])
-    if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
+    pairs = np.asarray(data)
+    if pairs.dtype.kind not in "biuf":  # strings, null and mixed entries
+        raise TypeError(f"matrix entries must be numbers, got {pairs.dtype}")
+    if pairs.shape != (rows * cols, 2):
+        raise ValueError("matrix entries must be [re, im] pairs")
+    pairs = np.ascontiguousarray(pairs, dtype=float)
+    if not np.all(np.isfinite(pairs)):
         raise ValueError("matrix entries must be finite")
-    return flat.reshape(rows, cols)
+    return pairs.view(complex).reshape(rows, cols)
 
 
 def povm_to_json(povm: POVM) -> dict:
@@ -77,9 +90,49 @@ def frontier_to_json(points: list[FrontierPoint]) -> list[dict]:
     return [asdict(pt) for pt in points]
 
 
+def _pairs_text(pairs: np.ndarray, pad: str) -> str:
+    """An (n, 2) float array as json's indented list of [re, im] pairs."""
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype != float:
+        raise TypeError(f"cannot encode an array of shape {pairs.shape} and dtype {pairs.dtype}")
+    if not len(pairs):
+        return "[]"
+    # one text per distinct bit pattern, so -0.0 and each NaN stay apart
+    bits, where = np.unique(np.ascontiguousarray(pairs).view(np.int64), return_inverse=True)
+    texts = np.array([json.dumps(x) for x in bits.view(float).tolist()], dtype=object)
+    inner, entry = pad + "  ", pad + "    "
+    pair = f"{inner}[\n{entry}{{}},\n{entry}{{}}\n{inner}]"
+    body = ",\n".join([pair] * len(pairs)).format(*texts[where.ravel()].tolist())
+    return f"[\n{body}\n{pad}]"
+
+
+def _text(obj, pad: str) -> str:
+    """``obj`` as json writes it ``pad`` deep. A subtree json can encode is
+    json's own text, re-indented (JSON strings hold no raw newline); json
+    cannot encode arrays, so a container holding one is laid out here."""
+    if isinstance(obj, np.ndarray):
+        return _pairs_text(obj, pad)
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+    except TypeError:
+        if not isinstance(obj, (dict, list, tuple)):
+            raise
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = []
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, (str, int, float)) and key is not None:
+                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+            # json spells a non-string key as the string of its JSON text
+            name = json.dumps(key if isinstance(key, str) else json.dumps(key))
+            items.append(f"{inner}{name}: {_text(value, inner)}")
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    return "[\n" + ",\n".join(inner + _text(v, inner) for v in obj) + f"\n{pad}]"
+
+
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, no trailing whitespace surprises."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, byte for
+    byte, with matrix payloads (float arrays) written in bulk."""
+    return _text(obj, "") + "\n"
 
 
 def frontier_to_csv(points: list[FrontierPoint]) -> str:

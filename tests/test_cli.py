@@ -164,6 +164,7 @@ def test_unreadable_input_or_unwritable_output_exit_2(make_argv, tmp_path, capsy
     assert main(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "c.csv").exists()  # a failed --json write leaves no CSV behind
 
 
 def test_repeated_runs_are_byte_identical(qubit_basis_file, tmp_path):

@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,52 @@ def test_matrix_from_json_validates():
         serialize.matrix_from_json({"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]})
     with pytest.raises(ValueError):
         serialize.matrix_from_json({"rows": 0, "cols": 1, "data": []})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [["1", "0"], [0.0, 0.0]],
+        [[1.0, "0"], [0.0, 0.0]],
+        [[None, 0.0], [0.0, 0.0]],
+        [[1.0, None], [0.0, 0.0]],
+        [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[1.0], [0.0]],
+        [[1.0, 0.0], [0.0]],
+        [[1.0, 0.0], 0.0],
+        [[[1.0, 0.0]], [[0.0, 0.0]]],
+        [[1.0, 0.0], [float("inf"), 0.0]],
+        [[1.0, 0.0], [0.0, float("-inf")]],
+        "ab",
+    ],
+    ids=["string", "string-imag", "null", "null-imag", "triple", "single", "ragged", "scalar", "nested",
+         "inf", "neg-inf", "text"],  # fmt: skip
+)
+def test_matrix_from_json_refuses_non_pairs(data):
+    with pytest.raises((ValueError, TypeError)):
+        serialize.matrix_from_json({"rows": 1, "cols": 2, "data": data})
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_povm_and_mub_json_roundtrip_bit_for_bit(seed):
+    """from_json(json.loads(dumps(to_json(x)))) returns every entry's bits."""
+
+    def same_bits(a, b):
+        bits = [np.ascontiguousarray(x).view(np.int64) for x in (a, b)]
+        return a.shape == b.shape and np.array_equal(*bits)
+
+    rng = np.random.default_rng(seed)
+    for d in (2, 3, 4, 5):
+        povm = qd.random_povm(d, d + 1 + seed, rng)
+        back = serialize.povm_from_json(json.loads(serialize.dumps(serialize.povm_to_json(povm))))
+        assert back.dim == d and all(map(same_bits, back.effects, povm.effects))
+    signed = qd.POVM(2, (np.array([[1.0, complex(-0.0, -0.0)], [-0.0, 0.0]]), np.diag([-0.0, 1.0])))
+    back = serialize.povm_from_json(json.loads(serialize.dumps(serialize.povm_to_json(signed))))
+    assert all(map(same_bits, back.effects, signed.effects))
+    p, n = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)][seed]
+    mub = qd.wootters_fields_mub(p, n)
+    back = serialize.mubset_from_json(json.loads(serialize.dumps(serialize.mubset_to_json(mub, p=p, n=n))))
+    assert back.d == mub.d and all(map(same_bits, back.bases, mub.bases))
 
 
 def test_povm_roundtrip():
@@ -70,6 +119,56 @@ def test_frontier_csv_format():
     assert float(lines[2].split(",")[2]) == 0.1234567890123456789
 
 
+def _small_frontier():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        points = qd.frontier_curve(2, [0.0, 1 / 3, 2 / 3], np.random.default_rng(5), samples=20, restarts=1, max_iter=20)
+    return serialize.frontier_to_json(points)
+
+
+def _signed_zero_povm():
+    effect = np.array([[1.0, complex(-0.0, -0.0)], [complex(0.0, -0.0), -0.0]])
+    return serialize.povm_to_json(qd.POVM(2, (effect, np.eye(2) - effect)))
+
+
+def _non_finite_matrix():
+    return serialize.matrix_to_json(np.array([[np.nan, np.inf], [-np.inf, complex(np.inf, np.nan)]]))
+
+
+def _float64_report():
+    report = qd.avg_fidelity_mc(qd.sqrt_instrument(qd.basis_povm(2)), 50, np.random.default_rng(6))
+    return {"report": serialize.report_to_json(report), "x": np.float64(0.1), "m": serialize.matrix_to_json(np.eye(2))}
+
+
+ORACLE_CASES = {
+    "mub-3-2": lambda: serialize.mubset_to_json(qd.wootters_fields_mub(3, 2), p=3, n=2),
+    "mub-5-2": lambda: serialize.mubset_to_json(qd.wootters_fields_mub(5, 2), p=5, n=2),
+    "mub-3-3": lambda: serialize.mubset_to_json(qd.wootters_fields_mub(3, 3), p=3, n=3),
+    "bare-bases": lambda: [serialize.matrix_to_json(b) for b in qd.wootters_fields_mub(3, 1).bases],
+    "random-povm": lambda: serialize.povm_to_json(qd.random_povm(3, 4, np.random.default_rng(7))),
+    "signed-zero-povm": _signed_zero_povm,
+    "non-finite-matrix": _non_finite_matrix,
+    "empty": lambda: {"a": {}, "b": [], "c": [[], {}, ()], "m": serialize.matrix_to_json(np.zeros((0, 3)))},
+    "float64-report": _float64_report,
+    "non-ascii-label": lambda: serialize.povm_to_json(qd.POVM(2, qd.basis_povm(2).effects, ("é", "ψ\n\"q\""))),
+    "non-string-keys": lambda: {1: serialize.matrix_to_json(np.eye(1)), 2.5: (None, True), 0: "x"},
+    "frontier": _small_frontier,
+    "scalar": lambda: 0.1,
+}
+
+
 def test_dumps_is_canonical():
-    a = serialize.dumps({"b": 1, "a": 2})
-    assert a.index('"a"') < a.index('"b"') and a.endswith("\n")
+    """dumps is defined as json.dumps(sort_keys=True, indent=2) with arrays as lists."""
+    for name, make in ORACLE_CASES.items():
+        obj = make()
+        assert serialize.dumps(obj) == json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n", name
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"n": np.int64(1)}, {"m": serialize.matrix_to_json(np.eye(2)), "n": np.int64(1)}, {"a": np.zeros((2, 3))}],
+    ids=["numpy-int", "numpy-int-beside-matrix", "not-pairs"],
+)
+def test_dumps_refuses_what_json_cannot_encode(obj):
+    with pytest.raises(TypeError):
+        serialize.dumps(obj)
