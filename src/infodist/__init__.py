@@ -11,13 +11,11 @@ from .errors import (
     InfodistError,
     NonHermitianError,
     NonSquareError,
-    NotIsometryError,
     NotPositiveError,
     WeightError,
 )
 from .linalg import (
     dagger,
-    fidelity,
     gen_inv_sqrt,
     haar_states,
     haar_unitaries,
@@ -32,19 +30,13 @@ from .linalg import (
 from .measurement import (
     POVM,
     Instrument,
-    PovmDiagnostics,
-    apply_branch,
     apply_channel,
     basis_povm,
     coarse_grain,
     convex_mix,
-    fine_grain,
-    instrument_povm,
-    instrument_validate,
     isometry_kraus,
     povm_validate,
     random_povm,
-    remix,
     reset_instrument,
     sqrt_instrument,
     trine_povm,
@@ -54,7 +46,6 @@ from .disturbance import (
     avg_fidelity_design,
     avg_fidelity_mc,
     avg_fidelity_uniform,
-    conditional_avg_disturbance,
     entanglement_fidelity,
     entfid_bound_check,
     min_disturbance_uniform,
@@ -71,12 +62,10 @@ from .information import (
     info_uniform_mc,
 )
 from .galois import (
-    FieldSpec,
     MubSet,
     design_check,
     design_operator,
     find_irreducible,
-    is_irreducible,
     is_prime,
     mub_design_residual,
     mub_validate,

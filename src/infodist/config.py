@@ -5,7 +5,7 @@ tested against one fixed threshold. These are package-wide constants; no
 function takes a tolerance argument.
 
 ALGEBRAIC      : exact identities (unitarity, hermiticity, orthogonality)
-RECONSTRUCTION : fidelity clamp, POVM completeness, disturbance report clamp
+RECONSTRUCTION : POVM completeness, disturbance report clamp
 PSD_SLACK      : how negative an eigenvalue may be before a matrix is
                  rejected as non-positive
 HERM_GATE      : asymmetry beyond which a matrix is rejected instead of

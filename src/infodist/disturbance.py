@@ -15,23 +15,8 @@ import numpy as np
 
 from .config import ALGEBRAIC, PSD_SLACK, RECONSTRUCTION
 from .errors import DimMismatchError, NotPositiveError
-from .linalg import (
-    dagger,
-    fidelity,
-    haar_states,
-    mat_sqrt,
-    mean_stderr,
-    outer,
-    require_square,
-    validate_distribution,
-)
-from .measurement import (
-    POVM,
-    Instrument,
-    apply_branch,
-    apply_channel,
-    isometry_kraus,
-)
+from .linalg import dagger, haar_states, mat_sqrt, mean_stderr, outer, require_square
+from .measurement import POVM, Instrument, apply_channel, isometry_kraus
 
 
 def pair_moment(a: np.ndarray, b: np.ndarray) -> complex:
@@ -131,25 +116,6 @@ def entanglement_fidelity(rho: np.ndarray, inst: Instrument) -> float:
     return float(sum(abs(np.trace(a @ rho)) ** 2 for a in inst.kraus_ops()))
 
 
-def conditional_avg_disturbance(ensemble: list[tuple[np.ndarray, float]], inst: Instrument) -> tuple[float, float]:
-    """Outcome-blind and outcome-aware average disturbances (D1, D2).
-
-    D1 uses the overall channel output; D2 sums branch fidelities with the
-    unnormalized conditional outputs. Concavity of fidelity gives D2 >= D1,
-    with equality on pure-state ensembles.
-    """
-    validate_distribution([w for _, w in ensemble])
-    f1 = 0.0
-    f2 = 0.0
-    for (rho, w) in ensemble:
-        rho = np.asarray(rho, dtype=complex)
-        f1 += w * fidelity(rho, apply_channel(inst, rho))
-        for b in range(len(inst.branches)):
-            out, _ = apply_branch(inst, b, rho)
-            f2 += w * fidelity(rho, out)
-    return 1.0 - f1, 1.0 - f2
-
-
 def superadditivity_margin(p1: np.ndarray, p2: np.ndarray, psi: np.ndarray) -> float:
     """<psi|sqrt(P1^2+P2^2)|psi>^2 - <psi|P1|psi>^2 - <psi|P2|psi>^2.
 
@@ -204,7 +170,7 @@ def entfid_bound_check(povm: POVM, m: np.ndarray) -> tuple[float, float]:
     if blocks[0].shape != (povm.dim, povm.dim):
         raise DimMismatchError(f"isometry blocks {blocks[0].shape} do not match dim {povm.dim}")
     gram = sum(dagger(b) @ b for b in blocks)
-    if np.abs(gram - np.eye(povm.dim)).max() > ALGEBRAIC:
+    if not np.abs(gram - np.eye(povm.dim)).max() <= ALGEBRAIC:  # a NaN entry fails too
         raise DimMismatchError("blocks of m do not form a trace-preserving channel")
     roots = [mat_sqrt(e) for e in povm.effects]
     multi = Instrument(povm.dim, tuple(tuple(b @ r for b in blocks) for r in roots))

@@ -29,10 +29,6 @@ class WeightError(InfodistError):
     pass
 
 
-class NotIsometryError(InfodistError):
-    pass
-
-
 class EvenPrimeError(InfodistError):
     """The unbiased-bases construction requires an odd prime characteristic."""
 

@@ -58,7 +58,8 @@ def covariance_check(
     rng: np.random.Generator | None = None,
 ) -> float:
     """Max residual of W† A(W rho W†) W = A(rho) over the given and/or
-    sampled (W, rho) pairs. Zero exactly for depolarizing channels."""
+    sampled (W, rho) pairs, of which there must be at least one. Zero
+    exactly for depolarizing channels."""
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     if w is not None or rho is not None:
         if w is None or rho is None:
@@ -70,11 +71,13 @@ def covariance_check(
         for _ in range(samples):
             state = random_density(inst.dim, rng)  # drawn before its unitary
             pairs.append((haar_unitaries(inst.dim, 1, rng)[0], state))
+    if not pairs:
+        raise ValueError("nothing to check: give a unitary and a state, or samples >= 1")
     residuals = []
     for u, state in pairs:
         rotated = dagger(u) @ apply_channel(inst, u @ state @ dagger(u)) @ u
         residuals.append(np.abs(rotated - apply_channel(inst, state)).max())
-    return float(np.max(residuals, initial=0.0))  # NaN propagates, unlike Python's max
+    return float(np.max(residuals))  # NaN propagates, unlike Python's max
 
 
 def twirl_depolarizing_p(povm: POVM) -> float:

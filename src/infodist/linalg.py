@@ -1,8 +1,8 @@
 """Dense complex linear algebra primitives.
 
 Hermitian eigendecomposition with a fixed phase convention, operator square
-roots with support truncation, Uhlmann fidelity, Haar sampling and the
-standard error of a sample mean.
+roots with support truncation, Haar sampling and the standard error of a
+sample mean.
 Everything works on plain complex numpy arrays and takes an explicit
 ``numpy.random.Generator`` where randomness is involved, so results are
 reproducible bit for bit from a seed.
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import HERM_GATE, PSD_SLACK, RECONSTRUCTION, SUPPORT_REL, WEIGHT
-from .errors import DimMismatchError, NonHermitianError, NonSquareError, NotPositiveError, WeightError
+from .config import HERM_GATE, PSD_SLACK, SUPPORT_REL, WEIGHT
+from .errors import NonHermitianError, NonSquareError, NotPositiveError, WeightError
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -65,16 +65,10 @@ def _psd_support(w: np.ndarray) -> np.ndarray:
     return np.where(w > cutoff, w, 0.0)
 
 
-def _psd_spectrum(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-fixed eigendecomposition of a PSD matrix with null-space cleanup."""
-    w, v = herm_eig(p)
-    return _psd_support(w), v
-
-
 def mat_sqrt(p: np.ndarray) -> np.ndarray:
     """Positive square root of a positive semidefinite matrix."""
-    w, v = _psd_spectrum(p)
-    return (v * np.sqrt(w)) @ dagger(v)
+    w, v = herm_eig(p)
+    return (v * np.sqrt(_psd_support(w))) @ dagger(v)
 
 
 def gen_inv_sqrt(p: np.ndarray) -> np.ndarray:
@@ -87,20 +81,6 @@ def gen_inv_sqrt(p: np.ndarray) -> np.ndarray:
     w = _psd_support(w)
     inv = np.where(w > 0, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
     return (v * inv) @ dagger(v)
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
-
-    Equals <psi|sigma|psi> when rho is the pure state |psi><psi|. The second
-    argument may be trace-deficient (for conditional branch outputs), in
-    which case the value is bounded by its trace rather than by one.
-    """
-    if rho.shape != sigma.shape:
-        raise DimMismatchError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    root = mat_sqrt(rho)
-    val = float(np.sum(np.sqrt(_psd_spectrum(root @ sigma @ root)[0])) ** 2)
-    return min(val, 1.0) if val <= 1.0 + RECONSTRUCTION else val
 
 
 def haar_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -148,7 +128,7 @@ def validate_distribution(weights) -> np.ndarray:
     """The weights as a float array, if they are nonnegative and sum to one
     within ``config.WEIGHT``; WeightError otherwise."""
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or abs(w.sum() - 1.0) > WEIGHT:
+    if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= WEIGHT):  # a NaN weight fails too
         raise WeightError(f"weights must be nonnegative and sum to 1, got sum {float(w.sum())!r}")
     return w
 

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ALGEBRAIC, PSD_SLACK, RECONSTRUCTION
-from .errors import (
-    BadPartitionError,
-    DimMismatchError,
-    NotIsometryError,
-    WeightError,
-)
+from .errors import BadPartitionError, DimMismatchError, WeightError
 from .linalg import dagger, gen_inv_sqrt, herm_eig, mat_sqrt, require_square, validate_distribution
 
 
@@ -97,14 +92,6 @@ def povm_validate(povm: POVM) -> PovmDiagnostics:
     return PovmDiagnostics(herm, psd, completeness, ok)
 
 
-def instrument_validate(inst: Instrument) -> float:
-    """Max-entry residual of sum_bi A_bi† A_bi against the identity."""
-    total = np.zeros((inst.dim, inst.dim), dtype=complex)
-    for a in inst.kraus_ops():
-        total += dagger(a) @ a
-    return float(np.abs(total - np.eye(inst.dim)).max())
-
-
 def sqrt_instrument(povm: POVM) -> Instrument:
     """The instrument with one Kraus operator sqrt(F_b) per outcome.
 
@@ -114,47 +101,12 @@ def sqrt_instrument(povm: POVM) -> Instrument:
     return Instrument(povm.dim, tuple((mat_sqrt(e),) for e in povm.effects))
 
 
-def apply_branch(inst: Instrument, b: int, rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unnormalized conditional output for outcome ``b`` and its probability."""
-    if not 0 <= b < len(inst.branches):
-        raise IndexError(f"branch {b} out of range for {len(inst.branches)} outcomes")
-    out = np.zeros((inst.dim, inst.dim), dtype=complex)
-    for a in inst.branches[b]:
-        out += a @ rho @ dagger(a)
-    return out, float(np.trace(out).real)
-
-
 def apply_channel(inst: Instrument, rho: np.ndarray) -> np.ndarray:
     """Overall (outcome-averaged) trace-preserving operation."""
     out = np.zeros((inst.dim, inst.dim), dtype=complex)
     for a in inst.kraus_ops():
         out += a @ rho @ dagger(a)
     return out
-
-
-def instrument_povm(inst: Instrument) -> POVM:
-    """The POVM measured by an instrument: F_b = sum_i A_bi† A_bi."""
-    effects = []
-    for br in inst.branches:
-        f = np.zeros((inst.dim, inst.dim), dtype=complex)
-        for a in br:
-            f += dagger(a) @ a
-        effects.append(f)
-    return POVM(inst.dim, tuple(effects))
-
-
-def fine_grain(inst: Instrument) -> POVM:
-    """One effect per Kraus operator: the POVM {A_bi† A_bi}_bi.
-
-    Grouping the outcomes back by branch recovers ``instrument_povm``.
-    """
-    effects = []
-    labels = []
-    for b, br in enumerate(inst.branches):
-        for i, a in enumerate(br):
-            effects.append(dagger(a) @ a)
-            labels.append(f"{b}.{i}")
-    return POVM(inst.dim, tuple(effects), tuple(labels))
 
 
 def coarse_grain(povm: POVM, partition: list[list[int]]) -> POVM:
@@ -197,25 +149,6 @@ def convex_mix(procedures: list[tuple[POVM, Instrument]], weights: list[float]) 
             labels.append(f"{i}:{povm.label(b)}")
             branches.append(tuple(root * a for a in inst.branches[b]))
     return POVM(dim, tuple(effects), tuple(labels)), Instrument(dim, tuple(branches))
-
-
-def remix(kraus_ops: list[np.ndarray], m: np.ndarray) -> list[np.ndarray]:
-    """Re-decompose an operation: A_i = sum_j m_ij B_j.
-
-    ``m`` has shape (r, s) with r >= s and orthonormal columns (a maximal
-    partial isometry from the old index space into the new one). The channel
-    action and sum_i A_i† A_i are both preserved.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[1] != len(kraus_ops):
-        raise DimMismatchError(f"mixing matrix shape {m.shape} does not fit {len(kraus_ops)} operators")
-    if m.shape[0] < m.shape[1]:
-        raise NotIsometryError("mixing matrix must not reduce the number of operators")
-    gram = dagger(m) @ m
-    if np.abs(gram - np.eye(m.shape[1])).max() > ALGEBRAIC:
-        raise NotIsometryError("columns of the mixing matrix are not orthonormal")
-    ops = np.stack([np.asarray(a, dtype=complex) for a in kraus_ops])
-    return list(np.einsum("ij,jkl->ikl", m, ops))
 
 
 def reset_instrument(povm: POVM, psi0: np.ndarray) -> Instrument:

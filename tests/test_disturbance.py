@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import infodist as qd
-from infodist.errors import NotPositiveError
+from conftest import induced_effects
+from infodist.errors import DimMismatchError, NotPositiveError
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
@@ -129,27 +130,6 @@ def test_entanglement_fidelity_relation_to_avg():
             assert f_avg == pytest.approx((d * f_e + 1) / (d + 1), abs=1e-10)
 
 
-def test_conditional_avg_disturbance():
-    rng = np.random.default_rng(38)
-    inst = qd.sqrt_instrument(qd.random_povm(2, 3, rng))
-
-    d1, d2 = qd.conditional_avg_disturbance([(np.eye(2, dtype=complex) / 2, 1.0)], identity_instrument(2))
-    assert d1 == pytest.approx(0.0, abs=1e-10)
-    assert d2 == pytest.approx(0.0, abs=1e-10)
-
-    # pure-state ensembles: the two measures coincide
-    ens = [(qd.outer(qd.haar_states(2, 1, rng)[0]), 0.5), (qd.outer(qd.haar_states(2, 1, rng)[0]), 0.5)]
-    d1, d2 = qd.conditional_avg_disturbance(ens, inst)
-    assert d2 == pytest.approx(d1, abs=1e-10)
-
-    # mixed input under dephasing: knowing the outcome looks worse
-    deph = qd.sqrt_instrument(qd.basis_povm(2))
-    d1, d2 = qd.conditional_avg_disturbance([(np.eye(2, dtype=complex) / 2, 1.0)], deph)
-    assert d1 == pytest.approx(0.0, abs=1e-10)
-    assert d2 == pytest.approx(0.5, abs=1e-10)
-    assert d2 >= d1 - 1e-10
-
-
 def test_superadditivity_margin_cases():
     rng = np.random.default_rng(39)
     psi = qd.haar_states(3, 1, rng)[0]
@@ -166,13 +146,13 @@ def test_superadditivity_margin_cases():
 def test_superadditivity_random_search():
     # falsification attempt over random positive pairs
     rng = np.random.default_rng(40)
-    worst = np.inf
+    margins = []
     for _ in range(2000):
         d = int(rng.integers(2, 7))
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        worst = min(worst, qd.superadditivity_margin(x @ x.conj().T / d, y @ y.conj().T / d, qd.haar_states(d, 1, rng)[0]))
-    assert worst >= -1e-12
+        margins.append(qd.superadditivity_margin(x @ x.conj().T / d, y @ y.conj().T / d, qd.haar_states(d, 1, rng)[0]))
+    assert np.min(margins) >= -1e-12  # np.min propagates NaN; Python's min(inf, nan) is inf
 
 
 def test_restore_counterexample():
@@ -185,7 +165,7 @@ def test_restore_counterexample():
         psi = qd.haar_states(d, 1, rng)[0]
         g, channel, gain = qd.restore_counterexample(d, psi)
         assert gain == pytest.approx(1.0, abs=1e-12)
-        assert qd.instrument_validate(channel) < 1e-12
+        assert np.abs(sum(induced_effects(channel)) - np.eye(d)).max() < 1e-12
         # identity channel gains nothing
         ident = identity_instrument(d)
         same = qd.apply_channel(ident, g)
@@ -215,42 +195,9 @@ def test_entfid_bound_random_trials():
         assert lhs <= rhs + 1e-12
 
 
-def test_one_term_rotations_never_beat_square_root():
-    rng = np.random.default_rng(44)
-    for _ in range(50):
-        d = int(rng.integers(2, 5))
-        povm = qd.random_povm(d, 3, rng)
-        best = qd.min_disturbance_uniform(povm).avg_fidelity
-        us = [qd.haar_unitaries(d, 1, rng)[0] for _ in povm.effects]
-        rotated = qd.avg_fidelity_uniform(qd.one_term_instrument(povm, us)).avg_fidelity
-        assert rotated <= best + 1e-12
-
-
-def test_remixed_square_root_dynamics_never_beat_square_root():
-    # re-decompositions preserve the average fidelity exactly, so they
-    # cannot beat the optimum either
-    rng = np.random.default_rng(45)
-    for _ in range(20):
-        d = int(rng.integers(2, 4))
-        povm = qd.random_povm(d, 2, rng)
-        inst = qd.sqrt_instrument(povm)
-        iso = qd.random_stinespring_isometry(len(povm), 2, rng)  # maps 2 ops to 4
-        mixed_ops = qd.remix(inst.kraus_ops(), iso)
-        mixed = qd.Instrument(d, tuple((a,) for a in mixed_ops))
-        best = qd.min_disturbance_uniform(povm).avg_fidelity
-        val = qd.avg_fidelity_uniform(mixed).avg_fidelity
-        assert val <= best + 1e-12
-        assert val == pytest.approx(qd.avg_fidelity_uniform(inst).avg_fidelity, abs=1e-12)
-
-
-def test_multi_term_instruments_never_beat_square_root():
-    rng = np.random.default_rng(46)
-    for _ in range(50):
-        d = int(rng.integers(2, 5))
-        povm = qd.random_povm(d, 3, rng)
-        blocks = qd.isometry_kraus(qd.random_stinespring_isometry(d, 2, rng))
-        multi = qd.Instrument(
-            d, tuple(tuple(b @ a for b in blocks) for (a,) in qd.sqrt_instrument(povm).branches)
-        )
-        assert qd.instrument_validate(multi) < 1e-9
-        assert qd.avg_fidelity_uniform(multi).avg_fidelity <= qd.min_disturbance_uniform(povm).avg_fidelity + 1e-12
+def test_entfid_bound_rejects_nan_isometry():
+    # NaN compared False against the trace-preservation gate: the check returned (nan, 0.5)
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = np.nan
+    with pytest.raises(DimMismatchError):
+        qd.entfid_bound_check(qd.basis_povm(2), m)

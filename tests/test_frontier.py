@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import infodist as qd
+from conftest import induced_effects
 from infodist.errors import ConvergenceWarning
 
 E0 = np.array([1, 0], dtype=complex)
@@ -76,7 +77,7 @@ def test_depolarize_endpoints_and_fidelity():
     psi = qd.haar_states(2, 1, rng)[0]
     pure = qd.outer(psi)
     for p in (0.0, 0.3, 1.0):
-        f = qd.fidelity(pure, qd.depolarize(pure, p))
+        f = np.vdot(psi, qd.depolarize(pure, p) @ psi).real
         assert f == pytest.approx(1 - p * (2 - 1) / 2, abs=1e-10)
     with pytest.raises(ValueError):
         qd.depolarize(rho, 1.5)
@@ -85,7 +86,7 @@ def test_depolarize_endpoints_and_fidelity():
 def test_depolarizing_instrument_matches_formula():
     rng = np.random.default_rng(71)
     inst = qd.depolarizing_instrument(3, 0.4)
-    assert qd.instrument_validate(inst) < 1e-12
+    assert np.abs(sum(induced_effects(inst)) - np.eye(3)).max() < 1e-12
     rho = qd.random_density(3, rng)
     assert np.abs(qd.apply_channel(inst, rho) - qd.depolarize(rho, 0.4)).max() < 1e-12
 
@@ -100,6 +101,10 @@ def test_covariance_check():
     rho = qd.outer((E0 + E1) / np.sqrt(2))
     assert qd.covariance_check(dephasing, hadamard, rho) > 0.01
     assert qd.covariance_check(dephasing, np.eye(2, dtype=complex), rho) == 0.0
+    # with no pair to check it once reported 0.0, "covariant"
+    for kwargs in ({}, {"samples": 0, "rng": rng}, {"samples": -1, "rng": rng}):
+        with pytest.raises(ValueError, match="nothing to check"):
+            qd.covariance_check(dephasing, **kwargs)
 
 
 def test_covariance_check_sampling_order_and_nan():

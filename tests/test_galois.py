@@ -6,7 +6,7 @@ import pytest
 import infodist as qd
 from infodist.config import MUB_CAP
 from infodist.errors import EvenPrimeError
-from infodist.galois import _trace_tables
+from infodist.galois import _trace_tables, is_irreducible
 
 
 def test_find_irreducible_known_moduli():
@@ -29,9 +29,9 @@ def test_is_irreducible_matches_root_test():
         for m in range(p**n):
             modulus = [(m // p**i) % p for i in range(n)] + [1]
             has_root = any(sum(c * x**i for i, c in enumerate(modulus)) % p == 0 for x in range(p))
-            assert qd.is_irreducible(modulus, p) == (not has_root)
-    assert not qd.is_irreducible([1, 0, 2], 3)  # not monic
-    assert not qd.is_irreducible([1], 3)  # degree zero
+            assert is_irreducible(modulus, p) == (not has_root)
+    assert not is_irreducible([1, 0, 2], 3)  # not monic
+    assert not is_irreducible([1], 3)  # degree zero
 
 
 def test_find_irreducible_rejects():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import infodist as qd
+from conftest import haar_info
 from infodist.errors import WeightError
 
 LN2 = np.log(2.0)
@@ -117,20 +118,6 @@ def test_info_outcome_splitting_identity():
     assert qd.info_finite_ensemble(mixed, ensemble).mutual_info == pytest.approx(0.6 * full, abs=1e-10)
 
 
-def test_info_mixing_linearity():
-    rng = np.random.default_rng(57)
-    p1 = qd.random_povm(3, 3, rng)
-    p2 = qd.random_povm(3, 4, rng)
-    mixed, _ = qd.convex_mix(
-        [(p1, qd.sqrt_instrument(p1)), (p2, qd.sqrt_instrument(p2))], [0.35, 0.65]
-    )
-    ensemble = [(qd.haar_states(3, 1, rng)[0], 0.2) for _ in range(5)]
-    i1 = qd.info_finite_ensemble(p1, ensemble).mutual_info
-    i2 = qd.info_finite_ensemble(p2, ensemble).mutual_info
-    im = qd.info_finite_ensemble(mixed, ensemble).mutual_info
-    assert im == pytest.approx(0.35 * i1 + 0.65 * i2, abs=1e-10)
-
-
 def test_info_coarse_graining_monotone():
     # data processing: grouping outcomes cannot increase information
     rng = np.random.default_rng(58)
@@ -155,16 +142,6 @@ def test_mutual_info_nan_row_is_nan():
     assert report.mutual_info == pytest.approx(h_c - 0.5 * LN2, abs=1e-15)
 
 
-def _haar_info(povm):
-    """I = sum_b [J(spec F_b) - qbar_b ln qbar_b], qbar_b = tr F_b / d."""
-    info = 0.0
-    for e in povm.effects:
-        spectrum = np.clip(np.linalg.eigvalsh(e), 0.0, None)
-        qbar = spectrum.sum() / povm.dim
-        info += qd.haar_xlogx(spectrum) - qbar * np.log(qbar)
-    return info
-
-
 def test_haar_xlogx_rank_one_and_flat():
     for d in range(2, 11):
         e = np.zeros(d)
@@ -187,7 +164,7 @@ def test_haar_xlogx_matches_monte_carlo_information():
         for outcomes in (2, d + 1):
             povm = qd.random_povm(d, outcomes, rng)
             report = qd.info_uniform_mc(povm, 40_000, rng)
-            assert abs(_haar_info(povm) - report.mutual_info) < 5 * report.stderr
+            assert abs(haar_info(povm) - report.mutual_info) < 5 * report.stderr
 
 
 def test_haar_xlogx_information_never_exceeds_i_max():
@@ -198,7 +175,7 @@ def test_haar_xlogx_information_never_exceeds_i_max():
         d = 2 + k % 4
         rank = int(rng.integers(1, d + 1))
         povm = qd.random_povm(d, int(rng.integers(-(-d // rank), 2 * d + 1)), rng, rank=rank)
-        info, i_max = _haar_info(povm), qd.info_finegrained_exact(d)
+        info, i_max = haar_info(povm), qd.info_finegrained_exact(d)
         assert -1e-13 <= info <= i_max + (1e-12 if rank == 1 else 0.0)
         if rank == 1:
             assert info == pytest.approx(i_max, abs=1e-12)

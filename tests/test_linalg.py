@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import infodist as qd
-from infodist.errors import NonHermitianError, NonSquareError, NotIsometryError, NotPositiveError, WeightError
+from infodist.errors import DimMismatchError, NonHermitianError, NonSquareError, NotPositiveError, WeightError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -143,31 +143,6 @@ def test_gen_inv_sqrt_rejects():
         qd.gen_inv_sqrt(np.zeros((2, 3), dtype=complex))
 
 
-def test_fidelity_basics():
-    rho = np.diag([0.25, 0.75]).astype(complex)
-    assert qd.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
-    e0 = qd.outer(np.array([1, 0], dtype=complex))
-    e1 = qd.outer(np.array([0, 1], dtype=complex))
-    assert qd.fidelity(e0, e1) == pytest.approx(0.0, abs=1e-12)
-    assert qd.fidelity(e0, np.eye(2, dtype=complex) / 2) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_fidelity_symmetry_and_pure_shortcut():
-    rng = np.random.default_rng(8)
-    for _ in range(5):
-        a = random_psd(3, rng)
-        a /= np.trace(a).real
-        b = random_psd(3, rng)
-        b /= np.trace(b).real
-        assert qd.fidelity(a, b) == pytest.approx(qd.fidelity(b, a), abs=1e-9)
-        psi = qd.haar_states(3, 1, rng)[0]
-        pure = qd.outer(psi)
-        general = qd.fidelity(pure, b)
-        shortcut = float(np.vdot(psi, b @ psi).real)
-        assert general == pytest.approx(shortcut, abs=1e-9)
-        assert 0.0 <= general <= 1.0
-
-
 def test_haar_state_normalized_and_d1():
     rng = np.random.default_rng(9)
     psi = qd.haar_states(1, 1, rng)[0]
@@ -286,10 +261,19 @@ def test_nan_fails_the_hermiticity_gate():
     for f in (qd.herm_eig, qd.mat_sqrt, qd.gen_inv_sqrt):
         with pytest.raises(NonHermitianError):
             f(NAN)
-    with pytest.raises(NonHermitianError):
-        qd.fidelity(NAN, np.eye(2, dtype=complex) / 2)
-    with pytest.raises(NonHermitianError):
-        qd.fidelity(np.eye(2, dtype=complex) / 2, NAN)
+
+
+def test_nan_weight_fails_the_distribution_gate():
+    # NaN compared False against both tests and passed as a distribution
+    for weights in ([np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]):
+        with pytest.raises(WeightError):
+            qd.validate_distribution(weights)
+    basis = qd.basis_povm(2)
+    with pytest.raises(WeightError):
+        qd.convex_mix([(basis, qd.sqrt_instrument(basis))] * 2, [np.nan, 1.0])
+    e0, e1 = np.eye(2, dtype=complex)
+    with pytest.raises(WeightError):  # returned a silent NaN
+        qd.info_finite_ensemble(basis, [(e0, np.nan), (e1, 1.0)])
 
 
 def test_each_gate_sits_at_its_threshold():
@@ -310,9 +294,9 @@ def test_each_gate_sits_at_its_threshold():
     # RECONSTRUCTION = 1e-9 on completeness
     assert not qd.povm_validate(qd.POVM(2, ((1 + 2e-9) * eye,))).passed
     assert qd.povm_validate(qd.POVM(2, ((1 + 5e-10) * eye,))).passed
-    with pytest.raises(NotIsometryError):  # ALGEBRAIC = 1e-10 on |m|^2 - 1
-        qd.remix([eye], np.array([[1 + 2e-10]]))
-    qd.remix([eye], np.array([[1 + 2e-11]]))
+    with pytest.raises(DimMismatchError):  # ALGEBRAIC = 1e-10 on the isometry's |m|^2 - 1
+        qd.entfid_bound_check(qd.basis_povm(2), np.sqrt(1 + 2e-10) * eye)
+    qd.entfid_bound_check(qd.basis_povm(2), np.sqrt(1 + 5e-11) * eye)
 
 
 _SAMPLERS = {

@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 import infodist as qd
-from infodist.errors import (
-    BadPartitionError,
-    NotIsometryError,
-    WeightError,
-)
+from conftest import induced_effects
+from infodist.errors import BadPartitionError, WeightError
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
@@ -70,24 +67,6 @@ def test_sqrt_instrument_projectors_and_trine():
         assert np.abs(a @ a - a).max() < 1e-12
 
 
-def test_apply_branch():
-    inst = qd.sqrt_instrument(qd.basis_povm(2))
-    rho = qd.outer(E0)
-    out, prob = qd.apply_branch(inst, 0, rho)
-    assert prob == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(out - rho).max() < 1e-12
-    out, prob = qd.apply_branch(inst, 1, rho)
-    assert prob == pytest.approx(0.0, abs=1e-12)
-    assert np.abs(out).max() < 1e-12
-
-    trine_inst = qd.sqrt_instrument(qd.trine_povm())
-    _, prob = qd.apply_branch(trine_inst, 0, np.eye(2, dtype=complex) / 2)
-    assert prob == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    with pytest.raises(IndexError):
-        qd.apply_branch(inst, 5, rho)
-
-
 def test_apply_channel_dephases():
     rng = np.random.default_rng(20)
     inst = qd.sqrt_instrument(qd.basis_povm(2))
@@ -106,15 +85,14 @@ def test_instrument_povm_roundtrip_and_unitary_cancellation():
     rng = np.random.default_rng(21)
     for d in (2, 4, 8):
         povm = qd.random_povm(d, 3, rng)
-        back = qd.instrument_povm(qd.sqrt_instrument(povm))
-        for a, b in zip(back.effects, povm.effects):
+        back = induced_effects(qd.sqrt_instrument(povm))
+        for a, b in zip(back, povm.effects, strict=True):
             assert np.abs(a - b).max() < 1e-9
 
     povm = qd.random_povm(3, 4, rng)
     us = [qd.haar_unitaries(3, 1, rng)[0] for _ in range(4)]
-    rotated = qd.one_term_instrument(povm, us)
-    back = qd.instrument_povm(rotated)
-    for a, b in zip(back.effects, povm.effects):
+    back = induced_effects(qd.one_term_instrument(povm, us))
+    for a, b in zip(back, povm.effects, strict=True):
         assert np.abs(a - b).max() < 1e-9
 
 
@@ -122,16 +100,12 @@ def test_fine_and_coarse_grain():
     rng = np.random.default_rng(22)
     povm = qd.random_povm(3, 3, rng)
     inst = qd.sqrt_instrument(povm)
-    assert all(
-        np.abs(a - b).max() < 1e-9
-        for a, b in zip(qd.fine_grain(inst).effects, qd.instrument_povm(inst).effects)
-    )
 
     # branch with two Kraus operators splits into two effects summing to F_b
     m = qd.random_stinespring_isometry(3, 2, rng)
     blocks = qd.isometry_kraus(m)
     multi = qd.Instrument(3, tuple(tuple(b @ a for b in blocks) for (a,) in inst.branches))
-    fine = qd.fine_grain(multi)
+    fine = qd.POVM(3, tuple(a.conj().T @ a for a in multi.kraus_ops()))
     assert len(fine) == 2 * len(povm)
     partition = [[2 * b, 2 * b + 1] for b in range(len(povm))]
     regrouped = qd.coarse_grain(fine, partition)
@@ -157,7 +131,7 @@ def test_convex_mix_identity_and_structure():
     inst = qd.sqrt_instrument(basis)
     povm, mixed_inst = qd.convex_mix([(basis, inst)], [1.0])
     assert qd.povm_validate(povm).passed
-    assert qd.instrument_validate(mixed_inst) < 1e-12
+    assert np.abs(sum(induced_effects(mixed_inst)) - np.eye(2)).max() < 1e-12
 
     trivial = qd.POVM(2, (np.eye(2, dtype=complex),))
     mixed, _ = qd.convex_mix(
@@ -171,56 +145,13 @@ def test_convex_mix_identity_and_structure():
         qd.convex_mix([(basis, inst)], [0.5])
 
 
-def test_convex_mix_disturbance_linearity():
-    rng = np.random.default_rng(23)
-    p1 = qd.random_povm(2, 3, rng)
-    p2 = qd.random_povm(2, 2, rng)
-    i1, i2 = qd.sqrt_instrument(p1), qd.sqrt_instrument(p2)
-    _, mixed = qd.convex_mix([(p1, i1), (p2, i2)], [0.3, 0.7])
-    d_mix = qd.avg_fidelity_uniform(mixed).disturbance
-    d_parts = 0.3 * qd.avg_fidelity_uniform(i1).disturbance + 0.7 * qd.avg_fidelity_uniform(i2).disturbance
-    assert d_mix == pytest.approx(d_parts, abs=1e-10)
-
-
-def test_remix_preserves_channel_and_gram():
-    rng = np.random.default_rng(24)
-    povm = qd.random_povm(3, 2, rng)
-    ops = qd.sqrt_instrument(povm).kraus_ops()
-
-    assert all(np.abs(a - b).max() == 0 for a, b in zip(qd.remix(ops, np.eye(2)), ops))
-
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    mixed = qd.remix(ops, h)
-    gram = sum(a.conj().T @ a for a in ops)
-    gram_mixed = sum(a.conj().T @ a for a in mixed)
-    assert np.abs(gram - gram_mixed).max() < 1e-9
-    for _ in range(10):
-        psi = qd.haar_states(3, 1, rng)[0]
-        rho = qd.outer(psi)
-        before = sum(a @ rho @ a.conj().T for a in ops)
-        after = sum(a @ rho @ a.conj().T for a in mixed)
-        assert np.abs(before - after).max() < 1e-9
-
-    # padding one operator to two through an isometry column
-    column = np.array([[np.sqrt(0.2)], [np.sqrt(0.8)]])
-    padded = qd.remix([ops[0]], column)
-    assert len(padded) == 2
-    assert np.abs(sum(a.conj().T @ a for a in padded) - ops[0].conj().T @ ops[0]).max() < 1e-12
-
-    with pytest.raises(NotIsometryError):
-        qd.remix(ops, np.array([[1.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(NotIsometryError):
-        qd.remix(ops, np.array([[1.0, 0.0]]))
-
-
 def test_reset_instrument():
     rng = np.random.default_rng(25)
     psi0 = qd.haar_states(3, 1, rng)[0]
     povm = qd.random_povm(3, 4, rng)
     inst = qd.reset_instrument(povm, psi0)
 
-    back = qd.instrument_povm(inst)
-    for a, b in zip(back.effects, povm.effects):
+    for a, b in zip(induced_effects(inst), povm.effects, strict=True):
         assert np.abs(a - b).max() < 1e-9
 
     target = qd.outer(psi0)
@@ -229,7 +160,7 @@ def test_reset_instrument():
         rho = x @ x.conj().T
         rho /= np.trace(rho).real
         out = qd.apply_channel(inst, rho)
-        assert qd.fidelity(target, out) == pytest.approx(1.0, abs=1e-9)
+        assert np.vdot(psi0, out @ psi0).real == pytest.approx(1.0, abs=1e-9)
 
     trivial = qd.POVM(3, (np.eye(3, dtype=complex),))
     inst = qd.reset_instrument(trivial, psi0)
@@ -241,7 +172,7 @@ def test_fine_grain_of_reset_instrument_is_rank_one():
     rng = np.random.default_rng(27)
     povm = qd.random_povm(2, 3, rng)
     inst = qd.reset_instrument(povm, qd.haar_states(2, 1, rng)[0])
-    fine = qd.fine_grain(inst)
+    fine = qd.POVM(2, tuple(a.conj().T @ a for a in inst.kraus_ops()))
     for e in fine.effects:
         w = np.linalg.eigvalsh(e)
         assert w[:-1].max() < 1e-10  # lambda^2 |bi><bi| terms
