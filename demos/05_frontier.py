@@ -5,12 +5,13 @@ for each mixing probability p the disturbance is exactly p(d-1)/d. Every
 covariant square-root instrument is a mix of seeds U diag(sqrt(nu)) U†, so
 the best information at that disturbance is the upper concave envelope of
 the curve (phi(nu), J(nu)) over seed spectra, J the exact Haar average of
-q ln q. A multi-start ascent finds the envelope, two recorded seeds attain
-each point, and a Monte Carlo re-score checks them; the curve is compared
-here against the straight line joining the frontier endpoints.
+q ln q. The envelope is taken on the spectra nu(y) = (d - (d-1) y, y, ...),
+one root per point, each point's seeds are re-scored by Monte Carlo, and
+the curve is compared here against the straight line joining the frontier
+endpoints.
 
-This demo runs the CLI defaults on a 7-point grid in about a second; the
-command `infodist frontier --d 2 --out curve.csv` runs the 11-point grid.
+This demo prints a 7-point grid in well under a second; the command
+`infodist frontier --d 2 --out curve.csv` writes the 11-point grid.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ rng = np.random.default_rng(0)
 d = 2
 grid = list(np.linspace(0.0, d / (d + 1), 7))
 
-points = qd.frontier_curve(d, grid, samples=2000, restarts=16, rng=rng, max_iter=500)
+points = qd.frontier_curve(d, grid, rng, samples=2000)
 
 i_max = qd.info_finegrained_exact(d)
 print(f"qubit frontier, I_max = {i_max:.4f} nats\n")

@@ -5,7 +5,6 @@ depolarizing-channel frontier construction."""
 
 from .errors import (
     BadPartitionError,
-    ConvergenceWarning,
     DimMismatchError,
     EvenPrimeError,
     InfodistError,

@@ -4,8 +4,7 @@ Subcommands: mub, design-check, disturbance, info, frontier, twirl-check.
 All randomness is seeded (flag --seed, default 0; never the clock), so
 identical invocations produce byte-identical outputs.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 convergence
-warning (soft failure unless --allow-nonconverged).
+Exit codes: 0 success, 1 validation failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ class UsageError(Exception):
 
 
 class ValidationFailure(Exception):
-    pass
-
-
-class ConvergenceFailure(Exception):
     pass
 
 
@@ -134,24 +129,11 @@ def cmd_info(args) -> int:
 
 def cmd_frontier(args) -> int:
     grid = list(np.linspace(0.0, args.d / (args.d + 1), args.grid))
-    points = frontier_curve(
-        args.d,
-        grid,
-        samples=args.samples,
-        restarts=args.restarts,
-        rng=np.random.default_rng(args.seed),
-        max_iter=args.max_iter,
-    )
+    points = frontier_curve(args.d, grid, np.random.default_rng(args.seed), samples=args.samples)
     csv = serialize.frontier_to_csv(points)
     if args.json is not None:  # first, so a --json that cannot be written leaves no finished-looking CSV
         _emit(serialize.dumps(serialize.frontier_to_json(points)), args.json)
     _emit(csv, args.out)
-    stragglers = [pt.p for pt in points if not pt.optimizer_meta.get("converged", False)]
-    if stragglers and not args.allow_nonconverged:
-        raise ConvergenceFailure(
-            f"optimizer did not meet its convergence test at p = "
-            f"{', '.join(f'{p:.4f}' for p in stragglers)} (rerun with --allow-nonconverged to accept)"
-        )
     return 0
 
 
@@ -244,10 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fr.add_argument(
         "--samples", type=_at_least(2), default=200, help="Haar states in each point's Monte Carlo re-score (JSON only)"
     )
-    p_fr.add_argument("--restarts", type=_at_least(1), default=16, help="random starting spectra per grid point")
-    p_fr.add_argument("--max-iter", dest="max_iter", type=_at_least(1), default=500, help="iteration budget of each ascent")
-    p_fr.add_argument("--json", default=None, help="also write the JSON variant with optimizer metadata")
-    p_fr.add_argument("--allow-nonconverged", action="store_true")
+    p_fr.add_argument("--json", default=None, help="also write the JSON variant with each point's seeds and re-scores")
+    ignored = "ignored: the search it tuned is gone; parsed until ROADMAP item 5 stops perfbench passing it"
+    p_fr.add_argument("--restarts", type=_at_least(1), default=16, help=ignored)
+    p_fr.add_argument("--max-iter", dest="max_iter", type=_at_least(1), default=500, help=ignored)
+    p_fr.add_argument("--allow-nonconverged", action="store_true", help=ignored)
     _add_common(p_fr)
     p_fr.set_defaults(func=cmd_frontier)
 
@@ -272,9 +255,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationFailure, InfodistError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
-    except ConvergenceFailure as exc:
-        print(f"convergence warning: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

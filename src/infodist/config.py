@@ -15,6 +15,8 @@ SUPPORT_REL    : relative eigenvalue cutoff (times dim * max eigenvalue)
 WEIGHT         : slack for probability weights summing to one
 STDERR_FLOOR   : added to a Monte Carlo 5-stderr band (twirl-check) so an
                  entry whose samples do not vary is judged, not divided by 0
+GRID_SLACK     : how far a frontier p may lie outside [0, d/(d+1)]; such a
+                 p is solved at the end it overshoots
 MUB_CAP        : largest dimension p^n for which unbiased bases are built
 """
 
@@ -25,4 +27,5 @@ HERM_GATE = 1e-8
 SUPPORT_REL = 1e-12
 WEIGHT = 1e-12
 STDERR_FLOOR = 1e-12
+GRID_SLACK = 1e-12
 MUB_CAP = 49

@@ -1,4 +1,4 @@
-"""Exception and warning types raised by the library."""
+"""Exception types raised by the library."""
 
 
 class InfodistError(ValueError):
@@ -31,9 +31,3 @@ class WeightError(InfodistError):
 
 class EvenPrimeError(InfodistError):
     """The unbiased-bases construction requires an odd prime characteristic."""
-
-
-class ConvergenceWarning(UserWarning):
-    """Emitted when an iterative optimizer exhausts its budget without
-    meeting its convergence test. The returned value is still a valid
-    lower bound."""

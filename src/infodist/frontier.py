@@ -12,6 +12,19 @@ d^2 (1 - p) + p = sum_k m_k phi(nu_k) and phi(nu) = (sum_i sqrt(nu_i))^2.
 So the frontier at disturbance p(d-1)/d is the upper concave envelope of
 the planar curve {(phi(nu), J(nu))} at phi* = d^2 (1 - p) + p, and by
 Caratheodory in the plane a mix of at most two seeds attains it.
+
+The envelope is taken on the one-parameter spectra
+nu(y) = (d - (d-1) y, y, ..., y), y in [0, 1], from the rank-one (y = 0)
+to the flat spectrum (y = 1): one eigenvalue against d-1 equal ones, the
+structure of the optimal operations in Banaszek's fidelity tradeoff
+(PRL 86, 1366, 2001). That the envelope over all spectra lies on this
+family is a numerical finding, not a theorem: a multi-start search over all
+spectra, kept in the tests as an oracle, never beats it by more than
+rounding (1.6e-13) for d = 2..10. On the family, phi(y) = phi* is a
+quadratic in sqrt y, and the arc y in [0, y*] is concave (checked for d up
+to 49). For d >= 3 the envelope below p* is the chord from the flat
+spectrum to nu(y*), the point where J / (d^2 - phi) peaks; at d = 2 the
+arc runs to the flat end.
 """
 
 from __future__ import annotations
@@ -21,9 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DimMismatchError
+from .config import GRID_SLACK
+from .errors import DimMismatchError
 from .information import haar_xlogx, info_finegrained_exact
-from .linalg import dagger, haar_states, haar_unitaries, mat_sqrt, mean_stderr, random_density
+from .linalg import dagger, haar_unitaries, mat_sqrt, mean_stderr, random_density
 from .measurement import POVM, Instrument, apply_channel
 
 
@@ -111,144 +125,79 @@ def twirl_channel(povm: POVM, rho: np.ndarray, n_samples: int, rng: np.random.Ge
     return mean.view(complex), stderr.view(complex)
 
 
-# -- the envelope of the seed curve ---------------------------------------------
-
-# an ascent is stationary once its gradient along the sphere is this small: rounding in J
-# stops the climb near 1e-7, and at 1e-6 the objective is within ~1e-12 / curvature of the top
-_GRAD_STOP = 1e-6
-_GAP_STOP = 1e-10  # nats: duality gap at which a grid point counts as solved
-_PROBES = 60  # support slopes tried per grid point
+# -- the frontier on the one-parameter seed family ------------------------------
 
 
-@dataclass(frozen=True)
-class _Seed:
-    """A point (phi, info) = (phi(nu), J(nu)) of the seed curve, nu = roots^2."""
-
-    roots: np.ndarray
-    phi: float
-    info: float
-    slope: float  # lambda of the J + lambda phi it was found maximizing (flat spectrum: inf)
-    stationary: bool
+def _family(d: int, y) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra nu(y) = (d - (d-1) y, y, ..., y) and phi(nu(y)), for y in [0, 1] of any shape."""
+    y = np.asarray(y, dtype=float)
+    nu = np.repeat(y[..., None], d, axis=-1)
+    nu[..., 0] = d - (d - 1) * y
+    return nu, (np.sqrt(nu[..., 0]) + (d - 1) * np.sqrt(y)) ** 2
 
 
-def _ascend(roots: np.ndarray, lam: float, max_iter: int) -> tuple[_Seed, int]:
-    """Maximize J(s^2) + lam (sum s)^2 over s >= 0 on the sphere |s|^2 = d, from ``roots``.
+def _tangent_residual(d: int, y) -> np.ndarray:
+    """J phi' - J' (phi - d^2) along the family, ' = d/dy: positive while J / (d^2 - phi),
+    the slope of the chord from the flat spectrum, still grows with y."""
+    nu, phi = _family(d, y)
+    j, grad = haar_xlogx(nu, gradient=True)
+    dj = grad[..., 1:].sum(axis=-1) - (d - 1) * grad[..., 0]
+    dphi = (d - 1) * np.sqrt(phi) * (1.0 / np.sqrt(y) - 1.0 / np.sqrt(nu[..., 0]))
+    residual = j * dphi - dj * (phi - d * d)
+    if np.isnan(residual).any():
+        raise FloatingPointError(f"the tangent residual is NaN in dimension {d}")
+    return residual
 
-    In the roots s = sqrt(nu) the objective is smooth up to the simplex faces,
-    where phi's nu-gradient blows up. Barzilai-Borwein steps along the
-    projected gradient, retracted by |.| and rescaling, with backtracking
-    until uphill. Returns the end point and the iterations taken.
+
+def _tangent_point(d: int) -> float:
+    """The y* in (0, 1) that maximizes J(y) / (d^2 - phi(y)), d >= 3: the seed where the
+    chord from the flat spectrum touches the arc. The residual is +inf at y = 0 and
+    crosses zero once; one batched scan brackets the crossing, and bisection closes
+    the bracket to adjacent doubles."""
+    ys = np.geomspace(1e-6, 1.0, 49)[:-1]
+    scan = _tangent_residual(d, ys)
+    k = int(np.argmax(scan <= 0))
+    if scan[k] > 0:
+        raise ArithmeticError(f"the chord from the flat spectrum touches no seed in dimension {d}")
+    lo, hi = (ys[k - 1] if k else 0.0), ys[k]
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _tangent_residual(d, mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+def _arc_point(d: int, p: float, p_max: float) -> float:
+    """The y with phi(y) = phi* = d^2 (1-p) + p, for p in [0, p_max].
+
+    phi(y) = phi* is a quadratic in sqrt y. Its root in [0, 1] is
+    ((d-1) sqrt phi* - sqrt((d-1)(d^2 - phi*))) / (d(d-1)) = (sqrt phi* - sqrt((d+1) p)) / d,
+    which is exactly 1, the flat spectrum, at p = 0; the rank-one end y = 0 is set exactly.
     """
-    d = len(roots)
-
-    def evaluate(s):
-        j, dj = haar_xlogx(s * s, gradient=True)
-        total = s.sum()
-        g = 2.0 * s * dj + 2.0 * lam * total
-        return j, j + lam * total * total, g - (g @ s / d) * s
-
-    s = roots
-    j, f, g = evaluate(s)
-    step = 0.1
-    for it in range(max_iter):
-        if np.sqrt(g @ g) <= _GRAD_STOP:  # False on NaN
-            return _Seed(s, float(s.sum() ** 2), float(j), lam, True), it
-        while True:
-            trial = np.abs(s + step * g)
-            trial *= np.sqrt(d / (trial @ trial))
-            j_new, f_new, g_new = evaluate(trial)
-            if f_new > f:
-                break
-            step /= 2
-            if step < 1e-16:  # no uphill step left at this precision
-                return _Seed(s, float(s.sum() ** 2), float(j), lam, False), it + 1
-        ds, dg = trial - s, g_new - g
-        s, j, f, g = trial, j_new, f_new, g_new
-        curvature = -(ds @ dg)
-        step = (ds @ ds) / curvature if curvature > 0 else 2.0 * step
-    return _Seed(s, float(s.sum() ** 2), float(j), lam, bool(np.sqrt(g @ g) <= _GRAD_STOP)), max_iter
+    if p == p_max:
+        return 0.0
+    root = (np.sqrt(d * d * (1.0 - p) + p) - np.sqrt((d + 1) * p)) / d
+    return float(min(max(root, 0.0), 1.0) ** 2)
 
 
-def _upper_hull(pool: list[_Seed]) -> list[_Seed]:
-    """Vertices of the upper concave envelope, by increasing phi, from the highest point on."""
-    hull: list[_Seed] = []
-    for z in sorted(pool, key=lambda z: (z.phi, -z.info)):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if (b.phi - a.phi) * (z.info - a.info) < (b.info - a.info) * (z.phi - a.phi):
-                break
-            hull.pop()
-        hull.append(z)
-    top = max(range(len(hull)), key=lambda k: hull[k].info)
-    return hull[top:]
-
-
-def _edge(hull: list[_Seed], phi: float) -> tuple[_Seed, _Seed, float]:
-    """The hull edge (a, b) over ``phi`` and the weight of b in the mix of a and b at ``phi``."""
-    phi = min(max(phi, hull[0].phi), hull[-1].phi)
-    k = next((k for k in range(1, len(hull) - 1) if phi <= hull[k].phi), len(hull) - 1)
-    a, b = hull[k - 1], hull[k]
-    return a, b, (phi - a.phi) / (b.phi - a.phi)
-
-
-def _envelope(hull: list[_Seed], phi: float) -> float:
-    a, b, w = _edge(hull, phi)
-    return a.info + w * (b.info - a.info)  # never above a.info: the hull falls from a to b
-
-
-def _solve(phi_star: float, pool: list[_Seed], starts: np.ndarray, max_iter: int) -> dict:
-    """Close the duality gap of the envelope at phi*, adding what is found to ``pool``,
-    whose first two seeds are the rank-one and the flat spectrum.
-
-    Each probe picks a slope lambda, ascends J + lambda phi from the ends of
-    the hull edge over phi* (and, on the first probe, from ``starts``), and
-    bounds the envelope by max_nu [J + lambda phi] - lambda phi* from above,
-    the maximum taken over every spectrum known, and by the hull from below. Probes alternate between the edge's own
-    slope, which ends the search on an edge of the true envelope, and a
-    secant step in lambda toward phi*, which converges fast where the curve
-    is itself concave.
-    """
-    iterations = ascents = n_stationary = 0
-    gap = np.inf
-    for probe in range(_PROBES):
-        a, b, _ = _edge(_upper_hull(pool), phi_star)
-        lam = (a.info - b.info) / (b.phi - a.phi)
-        if probe % 2 and a.slope < b.slope < np.inf:
-            lam = a.slope + (b.slope - a.slope) * (phi_star - a.phi) / (b.phi - a.phi)
-        found = []
-        for s in [*starts, a.roots, b.roots]:
-            seed, its = _ascend(s, lam, max_iter)
-            found.append(seed)
-            iterations += its
-            ascents += 1
-            n_stationary += seed.stationary
-        starts = []
-        # J <= I_max (Jones) and phi <= d^2 (Cauchy-Schwarz): a spectrum found on or past either
-        # bound is the rank-one or the flat one up to rounding, already in the pool exactly
-        pool.extend(z for z in found if z.info < pool[0].info and z.phi < pool[1].phi)
-        hull = _upper_hull(pool)
-        upper = max(z.info + lam * (z.phi - phi_star) for z in [*hull, *found])
-        gap = upper - _envelope(hull, phi_star)
-        if gap <= _GAP_STOP:
-            break
-    return {
-        "ascents": ascents,
-        "converged": bool(gap <= _GAP_STOP and n_stationary == ascents),
-        "gap": float(gap),
-        "iterations": iterations,
-        "n_converged": n_stationary,
-        "probes": probe + 1,
-    }
+def _seed_info(d: int, y: float, i_max: float) -> float:
+    """J(nu(y)), exact at the ends: I_max (Jones) for the rank-one spectrum, 0 for the flat one."""
+    if y == 0.0:
+        return i_max
+    if y == 1.0:
+        return 0.0
+    return float(haar_xlogx(_family(d, y)[0]))
 
 
 def _rescore(spectra: np.ndarray, weights: np.ndarray, samples: int, rng: np.random.Generator):
-    """Monte Carlo estimate of sum_k m_k E_psi[q_k ln q_k] over Haar states, with its stderr."""
-    q = np.abs(haar_states(spectra.shape[1], samples, rng)) ** 2 @ spectra.T
+    """Monte Carlo estimate of sum_k m_k E_psi[q_k ln q_k] over Haar states, with its stderr.
+    Only the squared moduli |psi_i|^2 enter q; they are uniform on the simplex, drawn as
+    normalized standard exponentials."""
+    moduli = rng.standard_exponential((samples, spectra.shape[1]))
+    q = (moduli / moduli.sum(axis=1, keepdims=True)) @ spectra.T
     mean, stderr = mean_stderr((q * np.log(np.where(q > 0, q, 1.0))) @ weights)
     return float(mean), float(stderr)
-
-
-# -- the frontier --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -260,79 +209,56 @@ class FrontierPoint:
     optimizer_meta: dict = field(default_factory=dict)
 
 
-def frontier_curve(
-    d: int,
-    p_grid: list[float],
-    rng: np.random.Generator,
-    samples: int = 200,
-    restarts: int = 16,
-    max_iter: int = 500,
-) -> list[FrontierPoint]:
+def frontier_curve(d: int, p_grid: list[float], rng: np.random.Generator, samples: int = 200) -> list[FrontierPoint]:
     """Information-disturbance frontier of the uniform (Haar) ensemble.
 
     For each mixing probability p the disturbance is exactly p(d-1)/d and
-    the information is the envelope of the seed curve at d^2(1-p) + p (see
-    the module docstring), evaluated exactly by ``haar_xlogx``. Each grid
-    point with p > 0 searches for the envelope from ``restarts`` random
-    spectra, ascents of at most ``max_iter`` iterations each; the rank-one
-    and flat spectra are always candidates. One hull over every spectrum
-    found gives all points, so the curve is concave by construction, and
-    each value is attained by the at most two seeds recorded in its
-    ``optimizer_meta``. Those seeds are re-scored by Monte Carlo over
-    ``samples`` Haar states, a check that does not enter the reported value.
-    Warnings raised while solving a point are recorded in its metadata and
-    raised again. ``line_info`` is the straight-line candidate at the same
-    disturbance: the flagged mix of doing nothing and the basis measurement,
-    with basis weight p(d+1)/d, carries that fraction of I_max.
+    the information is the envelope of the seed curve at d^2(1-p) + p, taken
+    on the family nu(y) (see the module docstring): the chord to nu(y*) for
+    p < p* = (d^2 - phi(y*)) / (d^2 - 1), the arc beyond. p may lie
+    ``GRID_SLACK`` outside [0, d/(d+1)] and is then solved at the end. Each
+    value is attained by the at most two seeds recorded in its
+    ``optimizer_meta``, which are re-scored by Monte Carlo over ``samples``
+    Haar states, one ``rng`` stream per point, a check that does not enter
+    the reported value. Warnings raised while solving a point are recorded
+    in its metadata and raised again. ``line_info`` is the straight-line
+    candidate at the same disturbance: the flagged mix of doing nothing and
+    the basis measurement, with basis weight p(d+1)/d, carries that fraction
+    of I_max.
     """
     if samples < 2:  # the re-score's standard error needs two; fail before any solve
         raise ValueError(f"the re-score needs samples >= 2, got {samples!r}")
-    if max_iter < 1:
-        raise ValueError("each ascent needs a budget of at least one iteration")
     p_max = d / (d + 1)
     for p in p_grid:
-        if not -1e-12 <= p <= p_max + 1e-12:
+        if not -GRID_SLACK <= p <= p_max + GRID_SLACK:
             raise ValueError(f"p={p!r} outside [0, {p_max}]")
     i_max = info_finegrained_exact(d)
-    rank_one = np.zeros(d)
-    rank_one[0] = np.sqrt(d)
-    pool = [
-        _Seed(rank_one, float(d), i_max, 0.0, True),  # J's maximum (Jones), the fine-grained measurement
-        _Seed(np.ones(d), float(d * d), 0.0, np.inf, True),  # q = 1: the identity instrument
-    ]
+    # at d = 2 the arc is concave up to the flat spectrum, so there is no chord
+    y_star = _tangent_point(d) if d > 2 else 1.0
+    p_star = (d * d - float(_family(d, y_star)[1])) / (d * d - 1)
+    j_star = _seed_info(d, y_star, i_max)
 
-    metas = []
-    rescore_streams = []
+    points = []
     for p, stream in zip(p_grid, rng.spawn(len(p_grid))):
-        search, rescore = stream.spawn(2)
-        rescore_streams.append(rescore)
-        meta = {"ascents": 0, "converged": True, "gap": 0.0, "iterations": 0, "n_converged": 0, "probes": 0, "restarts": 0}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if p > 0:  # at p = 0 only the flat spectrum has phi = d^2
-                starts = np.sqrt(search.dirichlet(np.ones(d), restarts) * d)
-                meta = {**_solve(d * d * (1 - p) + p, pool, starts, max_iter), "restarts": restarts}
-                if not meta["converged"]:
-                    warnings.warn(
-                        f"frontier point p={p:.4f} not solved: {meta['n_converged']} of {meta['ascents']} "
-                        f"ascents stationary, duality gap {meta['gap']:.2e} nats",
-                        ConvergenceWarning,
-                    )
-        meta["warnings"] = [str(w.message) for w in caught]
-        metas.append(meta)
-        for w in caught:
-            warnings.warn(w.message, stacklevel=2)
-
-    hull = _upper_hull(pool)
-    points = []
-    for p, meta, rescore in zip(p_grid, metas, rescore_streams):
-        phi_star = d * d * (1 - p) + p
-        a, b, w = _edge(hull, phi_star)
-        seeds = [(1.0 - w, a), (w, b)] if 0.0 < w < 1.0 else [(1.0, b if w else a)]
-        spectra = np.stack([z.roots**2 for _, z in seeds])
-        weights = np.array([m for m, _ in seeds])
-        mc_info, mc_stderr = _rescore(spectra, weights, samples, rescore)
-        meta["seeds"] = [{"weight": m, "spectrum": (z.roots**2).tolist()} for m, z in seeds]
-        meta["rescore"] = {"info": mc_info, "stderr": mc_stderr, "samples": samples}
-        points.append(FrontierPoint(p, p * (d - 1) / d, _envelope(hull, phi_star), i_max * p * (d + 1) / d, meta))
+            q = min(max(p, 0.0), p_max)
+            if q < p_star:  # the flagged mix of the flat spectrum and nu(y*)
+                w = q / p_star
+                seeds = [(1.0 - w, 1.0, 0.0), (w, y_star, j_star)] if w > 0 else [(1.0, 1.0, 0.0)]
+            else:
+                y = _arc_point(d, q, p_max)
+                seeds = [(1.0, y, _seed_info(d, y, i_max))]
+            info = sum(m * j for m, _, j in seeds)
+        for warning in caught:
+            warnings.warn(warning.message, stacklevel=2)
+        spectra = _family(d, [y for _, y, _ in seeds])[0]
+        weights = np.array([m for m, _, _ in seeds])
+        mc_info, mc_stderr = _rescore(spectra, weights, samples, stream)
+        meta = {
+            "rescore": {"info": mc_info, "stderr": mc_stderr, "samples": samples},
+            "seeds": [{"weight": m, "spectrum": nu.tolist()} for m, nu in zip(weights.tolist(), spectra)],
+            "warnings": [str(warning.message) for warning in caught],
+        }
+        points.append(FrontierPoint(p, p * (d - 1) / d, info, i_max * p * (d + 1) / d, meta))
     return points

@@ -136,10 +136,7 @@ def dumps(obj) -> str:
 
 
 def frontier_to_csv(points: list[FrontierPoint]) -> str:
-    lines = ["p,disturbance,info_lb_nats,line_info_nats,converged"]
+    lines = ["p,disturbance,info_lb_nats,line_info_nats"]
     for pt in points:
-        converged = "true" if pt.optimizer_meta.get("converged", False) else "false"
-        lines.append(
-            f"{pt.p:.17g},{pt.disturbance:.17g},{pt.info_lower_bound:.17g},{pt.line_info:.17g},{converged}"
-        )
+        lines.append(f"{pt.p:.17g},{pt.disturbance:.17g},{pt.info_lower_bound:.17g},{pt.line_info:.17g}")
     return "\n".join(lines) + "\n"

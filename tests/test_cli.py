@@ -178,13 +178,12 @@ def test_frontier_command(tmp_path):
     csv_path = tmp_path / "curve.csv"
     json_path = tmp_path / "curve.json"
     code = main([
-        "frontier", "--d", "2", "--grid", "3", "--samples", "30", "--restarts", "2",
-        "--max-iter", "60", "--seed", "0", "--out", str(csv_path), "--json", str(json_path),
-        "--allow-nonconverged",
+        "frontier", "--d", "2", "--grid", "3", "--samples", "30", "--seed", "0",
+        "--out", str(csv_path), "--json", str(json_path),
     ])
     assert code == 0
     lines = csv_path.read_text().strip().split("\n")
-    assert lines[0] == "p,disturbance,info_lb_nats,line_info_nats,converged"
+    assert lines[0] == "p,disturbance,info_lb_nats,line_info_nats"
     assert len(lines) == 4
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[2]) == 0.0
@@ -194,14 +193,15 @@ def test_frontier_command(tmp_path):
     assert len(meta) == 3 and "optimizer_meta" in meta[0]
 
 
-def test_frontier_nonconverged_soft_failure(tmp_path):
-    # the CLI passes the optimizer's warning on to the user
-    with pytest.warns(qd.ConvergenceWarning, match="not solved"):
-        code = main([
-            "frontier", "--d", "2", "--grid", "2", "--samples", "30", "--restarts", "1",
-            "--max-iter", "5", "--seed", "0", "--out", str(tmp_path / "c.csv"),
-        ])
-    assert code == 3
+def test_frontier_ignores_the_retired_search_flags(tmp_path):
+    # --restarts, --max-iter and --allow-nonconverged still parse, with their old bounds, and change no byte
+    out = []
+    for extra in ([], ["--restarts", "3", "--max-iter", "7", "--allow-nonconverged"]):
+        csv_path, json_path = tmp_path / f"{len(extra)}.csv", tmp_path / f"{len(extra)}.json"
+        argv = ["frontier", "--d", "3", "--grid", "5", *extra, "--out", str(csv_path), "--json", str(json_path)]
+        assert main(argv) == 0
+        out.append((csv_path.read_bytes(), json_path.read_bytes()))
+    assert out[0] == out[1]
 
 
 @pytest.mark.parametrize("option", ["--restarts", "--samples", "--max-iter"])
@@ -243,9 +243,11 @@ def test_frontier_samples_only_size_the_rescore(tmp_path):
 
 @pytest.mark.parametrize("d", ["2", "3"])
 def test_frontier_defaults_converge(d, tmp_path, capsys):
+    # no solve can stop short any more: the default grid runs warning-free, every point in [0, I_max]
     assert main(["frontier", "--d", d, "--out", str(tmp_path / "c.csv")]) == 0
     assert "Warning" not in capsys.readouterr().err
-    assert all(line.endswith(",true") for line in (tmp_path / "c.csv").read_text().splitlines()[1:])
+    rows = [line.split(",") for line in (tmp_path / "c.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 11 and all(0.0 <= float(row[2]) <= qd.info_finegrained_exact(int(d)) for row in rows)
 
 
 def _reject_constant(name):

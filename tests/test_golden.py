@@ -27,8 +27,8 @@ GOLDEN = {
     "disturbance-mc": "662d02914add1cc6524c7943b351fb7000f97a3e6a6674920ec47e1076fe1b4b",
     "disturbance-design": "42728f3d2da653256cbda68258be5fa0ce43830370bb5e051a93ef3ec9a5bea7",
     "twirl-check": "5b4e4faa43e27f772d94779fa4a9e719ef2bbb0314fa8d1a32873535b2b27078",
-    "frontier-csv": "729ba70150fade7c6115d219dbce5a19b0500cbbb460a672d8aa9298ee5d0dbc",
-    "frontier-json": "64fa554c1aad70e9ab41ff282b78a3c1c0dc2ab9d18477b10c087e08fe2eadea",
+    "frontier-csv": "ebc051f41d94ccb0842543ca258a54d025ed49ae1f8d04f9d30780920ed6c270",
+    "frontier-json": "d0a5a38f753ecec9cb2d9d1de4bf556d7c75c0d8ba76c17fc7a6895ed1a05302",
 }
 
 
@@ -47,8 +47,7 @@ def outputs(tmp_path_factory):
         "mub": ["mub", "--p", "3", "--n", "2"],
         "info-bits": ["info", "--povm", trine, "--samples", "2000", "--seed", "1", "--bits"],
         "twirl-check": ["twirl-check", "--povm", rand3, "--samples", "500", "--seed", "2"],
-        "frontier-csv": ["frontier", "--d", "2", "--grid", "2", "--restarts", "1", "--samples", "20",
-                         "--max-iter", "50", "--seed", "3", "--allow-nonconverged",
+        "frontier-csv": ["frontier", "--d", "2", "--grid", "2", "--samples", "20", "--seed", "3",
                          "--json", str(work / "frontier-json")],  # fmt: skip
     }
     for method in ("exact", "mc", "design"):

@@ -167,6 +167,14 @@ def test_haar_xlogx_matches_monte_carlo_information():
             assert abs(haar_info(povm) - report.mutual_info) < 5 * report.stderr
 
 
+def test_haar_info_ignores_a_zero_effect():
+    # 0 ln 0 = 0: an outcome that never occurs carries no information (q ln q at qbar = 0 gave NaN)
+    for d in (2, 3):
+        povm = qd.random_povm(d, 3, np.random.default_rng(63))
+        padded = qd.POVM(d, (*povm.effects, np.zeros((d, d), dtype=complex)))
+        assert haar_info(padded) == haar_info(povm)
+
+
 def test_haar_xlogx_information_never_exceeds_i_max():
     # Jones' theorem: the fine-grained measurement extracts the most, and rank-one effects attain
     # it, so there the bound holds only up to rounding
