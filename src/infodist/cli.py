@@ -81,19 +81,25 @@ def cmd_mub(args) -> int:
     return 0
 
 
-def cmd_design_check(args) -> int:
-    obj = _read_json(args.infile)
+def _read_vectors(path: str) -> np.ndarray:
+    """The basis vectors stored in ``path`` (a basis list, or an object with
+    'bases'), one per row. A function of its own, so the parsed JSON is
+    freed before the design check runs."""
+    obj = _read_json(path)
     try:
         if isinstance(obj, dict) and "bases" in obj:
             bases = [serialize.matrix_from_json(b) for b in obj["bases"]]
         elif isinstance(obj, list):
             bases = [serialize.matrix_from_json(b) for b in obj]
         else:
-            raise UsageError(f"{args.infile}: expected a basis list or an object with 'bases'")
-        vectors = np.concatenate([b.T for b in bases], axis=0)
+            raise UsageError(f"{path}: expected a basis list or an object with 'bases'")
+        return np.concatenate([b.T for b in bases], axis=0)
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{args.infile} does not encode bases: {exc}") from exc
-    deviation = design_check(vectors, args.trials, np.random.default_rng(args.seed))
+        raise UsageError(f"{path} does not encode bases: {exc}") from exc
+
+
+def cmd_design_check(args) -> int:
+    deviation = design_check(_read_vectors(args.infile), args.trials, np.random.default_rng(args.seed))
     print(f"max deviation over {args.trials} random degree-2 functionals: {deviation:.17g}")
     if not deviation < ALGEBRAIC:  # a NaN deviation fails too
         raise ValidationFailure(f"vectors are not a 2-design (deviation {deviation:.3e} >= {ALGEBRAIC:.0e})")

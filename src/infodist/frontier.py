@@ -113,13 +113,13 @@ def twirl_channel(povm: POVM, rho: np.ndarray, n_samples: int, rng: np.random.Ge
     """
     rho = np.asarray(rho, dtype=complex)
     d = povm.dim
-    roots = [mat_sqrt(e) for e in povm.effects]
+    # sum_b (U r_b U†) rho (U r_b U†) = U L(U† rho U) U† with L(X) = sum_b r_b X r_b,
+    # r_b = sqrt(F_b); on row-major vec(X), vec(r X r) = (r kron r^T) vec(X)
+    superop = sum(np.kron(r, r.T) for r in map(mat_sqrt, povm.effects))
     us = haar_unitaries(d, n_samples, rng)
     uds = us.conj().transpose(0, 2, 1)
-    vals = np.zeros((n_samples, d, d), dtype=complex)
-    for r in roots:
-        conj = us @ r @ uds
-        vals += conj @ rho @ conj.conj().transpose(0, 2, 1)
+    inner = ((uds @ rho @ us).reshape(n_samples, d * d) @ superop.T).reshape(n_samples, d, d)
+    vals = us @ inner @ uds
     # viewed as (n, d, 2d) reals, each real and each imaginary part is a sample of its own
     mean, stderr = mean_stderr(vals.view(float))
     return mean.view(complex), stderr.view(complex)

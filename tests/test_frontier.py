@@ -259,6 +259,34 @@ def test_twirl_qubit_basis_depolarizes():
     assert np.all(np.abs(diff.imag) <= 5 * stderr.imag + 1e-12)
 
 
+def _twirl_loop(povm, rho, n_samples, rng):
+    # twirl_channel as a loop over the outcomes, conjugating each root by every sample
+    d = povm.dim
+    roots = [qd.mat_sqrt(e) for e in povm.effects]
+    us = qd.haar_unitaries(d, n_samples, rng)
+    uds = us.conj().transpose(0, 2, 1)
+    vals = np.zeros((n_samples, d, d), dtype=complex)
+    for r in roots:
+        conj = us @ r @ uds
+        vals += conj @ rho @ conj.conj().transpose(0, 2, 1)
+    mean, stderr = qd.mean_stderr(vals.view(float))
+    return mean.view(complex), stderr.view(complex)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_twirl_channel_matches_the_loop(d):
+    rng = np.random.default_rng(79)
+    povms = (qd.basis_povm(d), qd.POVM(d, (np.eye(d, dtype=complex),)), qd.random_povm(d, d + 1, rng))
+    for povm in povms:
+        rho = qd.random_density(d, rng)
+        fast, slow = np.random.default_rng(80), np.random.default_rng(80)
+        mean, stderr = qd.twirl_channel(povm, rho, 400, fast)
+        ref_mean, ref_stderr = _twirl_loop(povm, rho, 400, slow)
+        assert np.abs(mean - ref_mean).max() <= 1e-13
+        assert np.abs(stderr - ref_stderr).max() <= 1e-13
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
 def test_twirl_consistency_identities():
     # 1 - p*(d-1)/d equals the best average fidelity, through
     # F_avg = (d F_e + 1)/(d + 1), exactly on the closed forms

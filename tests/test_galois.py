@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import infodist as qd
 from infodist.config import MUB_CAP
 from infodist.errors import EvenPrimeError
-from infodist.galois import _trace_tables, is_irreducible
+from infodist.galois import _coefficients, _features, _trace_tables, is_irreducible
 
 
 def test_find_irreducible_known_moduli():
@@ -226,12 +227,76 @@ def test_design_check_nan_is_not_dropped():
     assert np.isnan(qd.design_check(vectors, 3, np.random.default_rng(66)))
 
 
-def test_design_check_constant_functional_exact():
+def test_design_check_feature_identity():
+    # v†Mv = f(v) . c(M), the identity the kernel's real matrix product rests on
     rng = np.random.default_rng(62)
-    vectors = np.eye(3, dtype=complex)
-    d = 3
-    a = np.eye(d, dtype=complex)
-    va = np.einsum("md,de,me->m", vectors.conj(), a, vectors)
-    discrete = np.mean(va * va)
-    exact = (np.trace(a) * np.trace(a) + np.trace(a @ a)) / (d * (d + 1))
-    assert discrete == pytest.approx(exact.real, abs=1e-15)
+    for d in (1, 2, 7):
+        vectors = qd.haar_states(d, 5, rng)
+        units = np.eye(d, dtype=complex)
+        ms = [units] + [np.outer(units[i], units[j]) for i in range(d) for j in range(d)]
+        ms.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        f = _features(vectors.T)
+        for m in ms:
+            direct = np.einsum("md,de,me->m", vectors.conj(), m, vectors)
+            assert np.abs(f.T @ _coefficients(m) - direct).max() <= 1e-14
+
+
+def _design_check_loop(vectors, trials, rng):
+    # design_check as a loop over trials, one row-dot pass per random operator
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    d = vectors.shape[1]
+    deviations = []
+    for _ in range(trials):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        va = np.sum(vectors.conj() * (vectors @ a.T), axis=1)
+        vb = np.sum(vectors.conj() * (vectors @ b.T), axis=1)
+        discrete = np.mean(va * vb)
+        exact = (np.trace(a) * np.trace(b) + np.trace(a @ b)) / (d * (d + 1))
+        deviations.append(abs(discrete - exact))
+    return float(np.max(deviations))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2)])
+def test_design_check_matches_the_loop(p, n):
+    d = p**n
+    mub = qd.wootters_fields_mub(p, n).vectors()
+    # non-designs: Haar vectors, and the unbiased bases less the first one
+    for vectors in (qd.haar_states(d, len(mub), np.random.default_rng(67)), mub[d:]):
+        got = qd.design_check(vectors, 7, np.random.default_rng(68))
+        assert got == pytest.approx(_design_check_loop(vectors, 7, np.random.default_rng(68)), rel=1e-12)
+        assert got > 1e-3
+    got = qd.design_check(mub, 7, np.random.default_rng(69))
+    assert abs(got - _design_check_loop(mub, 7, np.random.default_rng(69))) <= 1e-14
+
+
+@pytest.mark.parametrize("trials", [1, 7, 37, 100, 250])
+def test_design_check_draws_like_the_loop(trials):
+    # at d = 49 a coefficient block holds 109 trials and a draw 6, so 250 trials span three blocks
+    vectors = qd.haar_states(49, 3, np.random.default_rng(70))
+    rng, ref = np.random.default_rng(71), np.random.default_rng(71)
+    assert qd.design_check(vectors, trials, rng) == pytest.approx(_design_check_loop(vectors, trials, ref), rel=1e-12)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (7, 2)])
+def test_design_check_ignores_memory_layout(p, n):
+    # the sums must not depend on how the caller's array is laid out in memory
+    vectors = qd.wootters_fields_mub(p, n).vectors()
+    strided = np.zeros((2 * len(vectors), 2 * p**n), dtype=complex)[::2, ::2]
+    strided[...] = vectors
+    layouts = (np.ascontiguousarray(vectors), np.asfortranarray(vectors), strided)
+    results = {qd.design_check(v, 100, np.random.default_rng(72)) for v in layouts}
+    assert len(results) == 1
+
+
+def test_design_check_memory_stays_blocked():
+    # the d = 49 unbiased bases (2450 vectors) at 100 trials: an unblocked kernel peaks near 30 MB
+    vectors = qd.wootters_fields_mub(7, 2).vectors()
+    tracemalloc.start()
+    try:
+        qd.design_check(vectors, 100, np.random.default_rng(73))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6

@@ -26,7 +26,7 @@ GOLDEN = {
     "disturbance-exact": "65b04cea36c81867ad4af3231687b40d514842e64fd0fec6a2bd245e0d3b6afb",
     "disturbance-mc": "662d02914add1cc6524c7943b351fb7000f97a3e6a6674920ec47e1076fe1b4b",
     "disturbance-design": "42728f3d2da653256cbda68258be5fa0ce43830370bb5e051a93ef3ec9a5bea7",
-    "twirl-check": "5b4e4faa43e27f772d94779fa4a9e719ef2bbb0314fa8d1a32873535b2b27078",
+    "twirl-check": "1edb1a9379639339f3b9912c8ebc776940aa170d9e72699903a3283d0a742861",
     "frontier-csv": "ebc051f41d94ccb0842543ca258a54d025ed49ae1f8d04f9d30780920ed6c270",
     "frontier-json": "d0a5a38f753ecec9cb2d9d1de4bf556d7c75c0d8ba76c17fc7a6895ed1a05302",
 }
