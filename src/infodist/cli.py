@@ -135,7 +135,10 @@ def cmd_info(args) -> int:
 
 def cmd_frontier(args) -> int:
     grid = list(np.linspace(0.0, args.d / (args.d + 1), args.grid))
-    points = frontier_curve(args.d, grid, np.random.default_rng(args.seed), samples=args.samples)
+    try:
+        points = frontier_curve(args.d, grid, np.random.default_rng(args.seed), samples=args.samples)
+    except ValueError as exc:  # a dimension over the cap
+        raise ValidationFailure(str(exc)) from exc
     csv = serialize.frontier_to_csv(points)
     if args.json is not None:  # first, so a --json that cannot be written leaves no finished-looking CSV
         _emit(serialize.dumps(serialize.frontier_to_json(points)), args.json)

@@ -17,7 +17,16 @@ STDERR_FLOOR   : added to a Monte Carlo 5-stderr band (twirl-check) so an
                  entry whose samples do not vary is judged, not divided by 0
 GRID_SLACK     : how far a frontier p may lie outside [0, d/(d+1)]; such a
                  p is solved at the end it overshoots
+TANGENT_REL    : relative bracket width at which the solve for the chord's
+                 touch point y*(d) stops; near y* the sign of its residual
+                 is rounding noise, over a band 1.3e-12 wide (relative) at
+                 d = 3 and 1.2e-13 at d = 16, so a narrower bracket only
+                 picks a double inside that band
 MUB_CAP        : largest dimension p^n for which unbiased bases are built
+FRONTIER_CAP   : largest dimension d of ``frontier_curve``; the arc's
+                 concavity, on which its solve rests, is checked up to
+                 d = 49, and without a cap a large d runs the process out
+                 of memory (the y* scan's temporaries grow linearly in d)
 """
 
 ALGEBRAIC = 1e-10
@@ -28,4 +37,6 @@ SUPPORT_REL = 1e-12
 WEIGHT = 1e-12
 STDERR_FLOOR = 1e-12
 GRID_SLACK = 1e-12
+TANGENT_REL = 1e-12
 MUB_CAP = 49
+FRONTIER_CAP = 49

@@ -22,9 +22,12 @@ family is a numerical finding, not a theorem: a multi-start search over all
 spectra, kept in the tests as an oracle, never beats it by more than
 rounding (1.6e-13) for d = 2..10. On the family, phi(y) = phi* is a
 quadratic in sqrt y, and the arc y in [0, y*] is concave (checked for d up
-to 49). For d >= 3 the envelope below p* is the chord from the flat
-spectrum to nu(y*), the point where J / (d^2 - phi) peaks; at d = 2 the
-arc runs to the flat end.
+to 49, hence ``FRONTIER_CAP``). For d >= 3 the envelope below p* is the
+chord from the flat spectrum to nu(y*), the point where J / (d^2 - phi)
+peaks; y* is solved by false position on a bracket from a short scan, and
+the solve stops at the relative width ``TANGENT_REL``, about the band in
+which the sign of its residual is rounding noise. At d = 2 the arc runs to
+the flat end.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import GRID_SLACK
+from .config import FRONTIER_CAP, GRID_SLACK, TANGENT_REL
 from .errors import DimMismatchError
 from .information import haar_xlogx, info_finegrained_exact
 from .linalg import dagger, haar_unitaries, mat_sqrt, mean_stderr, random_density
@@ -152,19 +155,30 @@ def _tangent_residual(d: int, y) -> np.ndarray:
 def _tangent_point(d: int) -> float:
     """The y* in (0, 1) that maximizes J(y) / (d^2 - phi(y)), d >= 3: the seed where the
     chord from the flat spectrum touches the arc. The residual is +inf at y = 0 and
-    crosses zero once; one batched scan brackets the crossing, and bisection closes
-    the bracket to adjacent doubles."""
-    ys = np.geomspace(1e-6, 1.0, 49)[:-1]
+    crosses zero once; one batched scan brackets the crossing, and false position with
+    the Illinois rule (halve the value kept at an end that survives twice) shrinks the
+    bracket until it is ``TANGENT_REL`` wide relative to y*, inside the residual's own
+    rounding band. Returns the bracket's end of positive residual."""
+    ys = np.geomspace(1e-3, 0.6, 12)  # y* falls with d: y*(3) = 0.453, y*(FRONTIER_CAP = 49) = 0.0123
     scan = _tangent_residual(d, ys)
-    k = int(np.argmax(scan <= 0))
-    if scan[k] > 0:
+    k = int(np.argmax(scan <= 0))  # 0 if scan[0] <= 0 or no point is: no sign change in the scan
+    if k == 0:
         raise ArithmeticError(f"the chord from the flat spectrum touches no seed in dimension {d}")
-    lo, hi = (ys[k - 1] if k else 0.0), ys[k]
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _tangent_residual(d, mid) > 0:
-            lo = mid
+    (lo, hi), (f_lo, f_hi) = ys[k - 1 : k + 1], scan[k - 1 : k + 1]
+    kept = 0  # +1 (-1): the last step kept hi (lo)
+    while hi - lo > TANGENT_REL * hi:
+        y = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < y < hi:  # rounding put the secant root on an end: bisect instead
+            y = 0.5 * (lo + hi)
+        f = float(_tangent_residual(d, y))
+        if f > 0:
+            lo, f_lo = y, f
+            f_hi *= 0.5 if kept == 1 else 1.0
+            kept = 1
         else:
-            hi = mid
+            hi, f_hi = y, f
+            f_lo *= 0.5 if kept == -1 else 1.0
+            kept = -1
     return float(lo)
 
 
@@ -215,12 +229,12 @@ def frontier_curve(d: int, p_grid: list[float], rng: np.random.Generator, sample
     For each mixing probability p the disturbance is exactly p(d-1)/d and
     the information is the envelope of the seed curve at d^2(1-p) + p, taken
     on the family nu(y) (see the module docstring): the chord to nu(y*) for
-    p < p* = (d^2 - phi(y*)) / (d^2 - 1), the arc beyond. p may lie
-    ``GRID_SLACK`` outside [0, d/(d+1)] and is then solved at the end. Each
-    value is attained by the at most two seeds recorded in its
-    ``optimizer_meta``, which are re-scored by Monte Carlo over ``samples``
-    Haar states, one ``rng`` stream per point, a check that does not enter
-    the reported value. Warnings raised while solving a point are recorded
+    p < p* = (d^2 - phi(y*)) / (d^2 - 1), the arc beyond. d may be at most
+    ``FRONTIER_CAP``, and p may lie ``GRID_SLACK`` outside [0, d/(d+1)], in
+    which case it is solved at the end. Each value is attained by the at
+    most two seeds recorded in its ``optimizer_meta``, which are re-scored
+    by Monte Carlo over ``samples`` Haar states, one ``rng`` stream per
+    point, a check that does not enter the reported value. Warnings raised while solving a point are recorded
     in its metadata and raised again. ``line_info`` is the straight-line
     candidate at the same disturbance: the flagged mix of doing nothing and
     the basis measurement, with basis weight p(d+1)/d, carries that fraction
@@ -228,6 +242,8 @@ def frontier_curve(d: int, p_grid: list[float], rng: np.random.Generator, sample
     """
     if samples < 2:  # the re-score's standard error needs two; fail before any solve
         raise ValueError(f"the re-score needs samples >= 2, got {samples!r}")
+    if d > FRONTIER_CAP:
+        raise ValueError(f"dimension {d} exceeds the configured cap {FRONTIER_CAP}")
     p_max = d / (d + 1)
     for p in p_grid:
         if not -GRID_SLACK <= p <= p_max + GRID_SLACK:

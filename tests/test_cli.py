@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import infodist as qd
-from infodist import cli, serialize
+from infodist import cli, frontier, serialize
+from infodist.config import FRONTIER_CAP
 from infodist.cli import main
 
 
@@ -215,6 +216,22 @@ def test_frontier_empty_budget_exit_2(option, value, capsys):
     err = capsys.readouterr().err
     least = 2 if option == "--samples" else 1
     assert f"{option}: must be at least {least}" in err and "Traceback" not in err
+
+
+def test_frontier_dimension_over_the_cap_exit_1(tmp_path, monkeypatch, capsys):
+    # with no cap a large --d ran the y* scan out of memory; the cap is refused before any solve
+    assert main(["frontier", "--d", str(FRONTIER_CAP), "--grid", "2", "--out", str(tmp_path / "c.csv")]) == 0
+
+    def no_solve(*args):
+        raise AssertionError("solved a dimension over the cap")
+
+    monkeypatch.setattr(frontier, "_tangent_residual", no_solve)
+    monkeypatch.setattr(frontier, "haar_xlogx", no_solve)
+    capsys.readouterr()
+    assert main(["frontier", "--d", str(FRONTIER_CAP + 1), "--out", str(tmp_path / "over.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "over.csv").exists()
+    assert f"exceeds the configured cap {FRONTIER_CAP}" in captured.err and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("option", ["--d", "--grid"])

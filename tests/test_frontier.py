@@ -6,7 +6,8 @@ import pytest
 
 import infodist as qd
 from conftest import induced_effects
-from infodist.config import GRID_SLACK
+from infodist import frontier
+from infodist.config import FRONTIER_CAP, GRID_SLACK, TANGENT_REL
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
@@ -72,7 +73,7 @@ def env_unitary_check(psi, p):
 # -- oracle: the multi-start search over all seed spectra that the family replaced --------
 
 GRAD_STOP = 1e-6  # an ascent stops once its gradient along the sphere is this small
-GAP_STOP = 1e-10  # nats: duality gap at which a grid point counts as solved
+GAP_STOP = 1e-12  # nats: duality gap at which a grid point counts as solved
 PROBES = 60  # support slopes tried per grid point
 
 
@@ -168,7 +169,8 @@ def close_gap(phi_star, pool, starts):
 def oracle_curve(d, p_grid, rng, restarts=16):
     """The envelope of the seed curve over all spectra at each p, from ``restarts`` random
     spectra per point; the rank-one and flat spectra are always candidates. With the same
-    rng it gives the values the multi-start engine shipped before the one-parameter family."""
+    rng and GAP_STOP at 1e-10 it gave the values the multi-start engine shipped before the
+    one-parameter family."""
     rank_one = np.zeros(d)
     rank_one[0] = np.sqrt(d)
     pool = [Seed(rank_one, float(d), qd.info_finegrained_exact(d), 0.0), Seed(np.ones(d), float(d * d), 0.0, np.inf)]
@@ -178,6 +180,25 @@ def oracle_curve(d, p_grid, rng, restarts=16):
             close_gap(d * d * (1 - p) + p, pool, np.sqrt(search.dirichlet(np.ones(d), restarts) * d))
     hull = upper_hull(pool)
     return np.array([envelope_edge(hull, d * d * (1 - p) + p)[2] for p in p_grid])
+
+
+# -- oracle: the chord's touch point y*(d) by bisection to adjacent doubles ----------------
+
+
+def bisected_tangent_point(d):
+    """y* as the frontier found it before false position: a 48-point batched scan of the
+    tangent residual brackets the sign change, and bisection closes it to adjacent doubles."""
+    ys = np.geomspace(1e-6, 1.0, 49)[:-1]
+    scan = frontier._tangent_residual(d, ys)
+    k = int(np.argmax(scan <= 0))
+    assert scan[k] <= 0
+    lo, hi = (ys[k - 1] if k else 0.0), ys[k]
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if frontier._tangent_residual(d, mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
 
 
 def test_depolarize_endpoints_and_fidelity():
@@ -427,6 +448,8 @@ def test_frontier_curve_rejects_bad_grid():
         qd.frontier_curve(2, [0.9], rng=rng)
     with pytest.raises(ValueError):
         qd.frontier_curve(2, [0.5], samples=1, rng=rng)
+    with pytest.raises(ValueError, match="exceeds the configured cap"):
+        qd.frontier_curve(FRONTIER_CAP + 1, [0.5], rng=rng)
 
 
 def _phi(spectrum):
@@ -582,13 +605,14 @@ def test_chord_touches_the_tabulated_seed(d, y_star, p_star):
 
 def test_frontier_matches_the_oracle_search():
     # the search over all spectra never beats the one-parameter family by more than 1e-12, and the
-    # family never exceeds what the search finds by more than the search's 1e-10 duality gap
+    # family never exceeds what the search finds by more than 1e-11: the search stops at a 1e-12
+    # duality gap, which its ascents' 1e-6 gradient stop can understate
     t0 = time.perf_counter()
     for d in range(2, 7):
         grid = list(np.linspace(0.0, d / (d + 1), 11))
         family = np.array([pt.info_lower_bound for pt in qd.frontier_curve(d, grid, np.random.default_rng(0))])
         diff = family - oracle_curve(d, grid, np.random.default_rng(0))
-        assert -1e-12 <= diff.min() and diff.max() <= 1e-10, d
+        assert -1e-12 <= diff.min() and diff.max() <= 1e-11, d
     assert time.perf_counter() - t0 <= 5.0
 
 
@@ -606,3 +630,37 @@ def test_frontier_endpoints_are_exact(d):
     for p in (-2 * GRID_SLACK, p_max + 2 * GRID_SLACK):
         with pytest.raises(ValueError, match="outside"):
             qd.frontier_curve(d, [p], np.random.default_rng(0))
+
+
+def test_tangent_point_matches_the_bisection_oracle():
+    # false position stops at a bracket TANGENT_REL wide; bisection walks on to adjacent doubles
+    # through the band where the residual's sign is rounding noise
+    for d in range(3, FRONTIER_CAP + 1):
+        oracle = bisected_tangent_point(d)
+        assert abs(frontier._tangent_point(d) - oracle) <= 2 * TANGENT_REL * oracle, d
+
+
+def test_tangent_point_takes_one_scan_and_few_evaluations(monkeypatch):
+    # bisection to adjacent doubles took 52 single-point residuals after its scan
+    residual, sizes = frontier._tangent_residual, []
+
+    def counted(d, y):
+        sizes.append(np.size(y))
+        return residual(d, y)
+
+    monkeypatch.setattr(frontier, "_tangent_residual", counted)
+    for d in range(3, FRONTIER_CAP + 1):
+        sizes.clear()
+        frontier._tangent_point(d)
+        assert sizes[0] > 1 and sizes[1:] == [1] * (len(sizes) - 1) and len(sizes) - 1 <= 24, (d, sizes)
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_frontier_with_the_oracle_touch_point(d, monkeypatch):
+    # the chord's value q (d^2 - 1) J(y*) / (d^2 - phi(y*)) is stationary in y*, so moving y* within
+    # the stop width moves the frontier by no more than J's own rounding
+    grid = list(np.linspace(0.0, d / (d + 1), 41))
+    fast = [pt.info_lower_bound for pt in qd.frontier_curve(d, grid, np.random.default_rng(0))]
+    monkeypatch.setattr(frontier, "_tangent_point", bisected_tangent_point)
+    slow = [pt.info_lower_bound for pt in qd.frontier_curve(d, grid, np.random.default_rng(0))]
+    assert np.abs(np.array(fast) - slow).max() <= 1e-13
