@@ -41,4 +41,4 @@ print(f"20k-sample MC     : {mc.avg_fidelity:.12f}   (stderr {mc.stderr:.1e})")
 
 print("\nA single basis is NOT a 2-design; the checker sees it immediately:")
 single = np.eye(2, dtype=complex)
-print(f"deviation for the standard basis alone: {qd.design_check(single, 50, rng):.3f}")
+print(f"distance ||D - Pi||_F^2 d(d+1)/2 for the standard basis alone: {qd.design_check(single):.3f}")

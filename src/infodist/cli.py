@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .config import ALGEBRAIC, STDERR_FLOOR
+from .config import DESIGN, STDERR_FLOOR
 from .disturbance import avg_fidelity_design, avg_fidelity_mc, min_disturbance_uniform
 from .errors import InfodistError
 from .frontier import depolarize, frontier_curve, twirl_channel, twirl_depolarizing_p
@@ -99,10 +99,10 @@ def _read_vectors(path: str) -> np.ndarray:
 
 
 def cmd_design_check(args) -> int:
-    deviation = design_check(_read_vectors(args.infile), args.trials, np.random.default_rng(args.seed))
-    print(f"max deviation over {args.trials} random degree-2 functionals: {deviation:.17g}")
-    if not deviation < ALGEBRAIC:  # a NaN deviation fails too
-        raise ValidationFailure(f"vectors are not a 2-design (deviation {deviation:.3e} >= {ALGEBRAIC:.0e})")
+    delta = design_check(_read_vectors(args.infile))
+    print(f"squared distance from the Haar second moment, ||D - Pi||_F^2 d(d+1)/2: {delta:.17g}")
+    if not delta < DESIGN:  # a NaN distance fails too
+        raise ValidationFailure(f"vectors are not a 2-design (distance {delta:.3e} >= {DESIGN:.0e})")
     return 0
 
 
@@ -202,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Information-disturbance tradeoff of quantum measurements on the uniform ensemble",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ignored = "ignored: what it tuned is gone; parsed until ROADMAP item 5 stops perfbench passing it"
 
     p_mub = sub.add_parser("mub", help="construct mutually unbiased bases in dimension p^n")
     p_mub.add_argument("--p", type=int, required=True, help="odd prime characteristic")
@@ -211,8 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dc = sub.add_parser("design-check", help="test a set of bases for the 2-design property")
     p_dc.add_argument("--in", dest="infile", required=True, help="bases JSON (as written by mub)")
-    p_dc.add_argument("--trials", type=_at_least(1), default=100)
-    _add_common(p_dc)
+    p_dc.add_argument("--trials", type=_at_least(1), default=100, help=ignored)
+    p_dc.add_argument("--seed", type=_at_least(0), default=0, help=ignored)
+    _add_common(p_dc, seed=False)
     p_dc.set_defaults(func=cmd_design_check)
 
     p_dist = sub.add_parser("disturbance", help="minimal disturbance of a POVM on the uniform ensemble")
@@ -236,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=_at_least(2), default=200, help="Haar states in each point's Monte Carlo re-score (JSON only)"
     )
     p_fr.add_argument("--json", default=None, help="also write the JSON variant with each point's seeds and re-scores")
-    ignored = "ignored: the search it tuned is gone; parsed until ROADMAP item 5 stops perfbench passing it"
     p_fr.add_argument("--restarts", type=_at_least(1), default=16, help=ignored)
     p_fr.add_argument("--max-iter", dest="max_iter", type=_at_least(1), default=500, help=ignored)
     p_fr.add_argument("--allow-nonconverged", action="store_true", help=ignored)

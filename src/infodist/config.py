@@ -22,6 +22,12 @@ TANGENT_REL    : relative bracket width at which the solve for the chord's
                  is rounding noise, over a band 1.3e-12 wide (relative) at
                  d = 3 and 1.2e-13 at d = 16, so a narrower bracket only
                  picks a double inside that band
+DESIGN         : bound on design-check's delta = ||D - Pi||_F^2 d(d+1)/2,
+                 the squared distance of a vector set's second moment
+                 from the Haar one; delta is quadratic in a defect, and
+                 its rounding floor is 6.7e-16 on the unbiased bases of
+                 every d = 3..49, in process and read back from mub's
+                 JSON, while a 1e-7 perturbation per entry reads 1.9e-12
 MUB_CAP        : largest dimension p^n for which unbiased bases are built
 FRONTIER_CAP   : largest dimension d of ``frontier_curve``; the arc's
                  concavity, on which its solve rests, is checked up to
@@ -38,5 +44,6 @@ WEIGHT = 1e-12
 STDERR_FLOOR = 1e-12
 GRID_SLACK = 1e-12
 TANGENT_REL = 1e-12
+DESIGN = 1e-13
 MUB_CAP = 49
 FRONTIER_CAP = 49

@@ -9,10 +9,14 @@ depends on this order, so it is part of the interface.
 In dimension d = p^n (p an odd prime) the d+1 unbiased bases supply
 d(d+1) states whose uniform average reproduces every Haar average of a
 degree-two polynomial in |psi><psi|: a complex projective 2-design.
+``design_check`` tells how far any vector set is from one, exactly and
+with no sampling: the squared Frobenius distance of its second moment from
+the Haar one, from the Gram matrix of the vectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -218,92 +222,29 @@ def design_operator(vectors: np.ndarray) -> np.ndarray:
     return (w.T @ w.conj()) / vectors.shape[0]
 
 
-# design_check's blocks, in float64 entries: feature rows (2 MB), coefficient
-# columns (8 MB: 109 trials at d = 49, so 100 trials build each row block's
-# features once) and normal draws (0.5 MB) at a time, so its memory does not
-# grow with the number of vectors or trials.
-_FEATURE_FLOATS = 2**18
-_COEF_FLOATS = 2**20
-_DRAW_FLOATS = 2**16
+# rows of the Gram matrix that design_check holds at once, in complex entries
+# (2 MB), so its memory does not grow with the square of the number of vectors
+_GRAM_ENTRIES = 2**17
 
 
-def _features(columns: np.ndarray) -> np.ndarray:
-    """Real features f(v) = [|v_i|^2; Re(conj v_i v_j); Im(conj v_i v_j)], i < j in
-    row-major order, of the vectors stored as the columns of ``columns`` (d, r):
-    a (d^2, r) array with f(v) . c(M) = v†Mv (see ``_coefficients``)."""
-    d, r = columns.shape
-    half = d * (d - 1) // 2
-    f = np.empty((d * d, r))
-    np.add(columns.real**2, columns.imag**2, out=f[:d])
-    row = d
-    for i in range(d - 1):
-        w = columns[i].conj() * columns[i + 1 :]
-        f[row : row + d - 1 - i] = w.real
-        f[half + row : half + row + d - 1 - i] = w.imag
-        row += d - 1 - i
-    return f
-
-
-def _coefficients(m: np.ndarray) -> np.ndarray:
-    """c(M) = [M_ii; M_ij + M_ji; i(M_ij - M_ji)], i < j in row-major order,
-    for a stack of d x d matrices M (..., d, d): the (..., d^2) complex
-    coefficients with f(v) . c(M) = v†Mv (see ``_features``)."""
-    i, j = np.triu_indices(m.shape[-1], 1)
-    upper, lower = m[..., i, j], m[..., j, i]
-    return np.concatenate([np.diagonal(m, axis1=-2, axis2=-1), upper + lower, 1j * (upper - lower)], axis=-1)
-
-
-def _functionals(k: int, d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw k trials of (A, B). Returns the (d^2, 4k) real coefficients, the
-    float view of the complex (d^2, k, 2) array of c(A), c(B) per trial, and
-    the k Haar values (tr A tr B + tr AB) / (d (d + 1))."""
-    coef = np.empty((d * d, k, 2), dtype=complex)
-    exact = np.empty(k, dtype=complex)
-    step = max(1, _DRAW_FLOATS // (4 * d**2))
-    for t in range(0, k, step):
-        x = rng.standard_normal((min(step, k - t), 2, 2, d, d))
-        m = x[:, :, 0] + 1j * x[:, :, 1]  # (trials, A/B, d, d)
-        a, b = m[:, 0], m[:, 1]
-        tr_a, tr_b = np.trace(a, axis1=1, axis2=2), np.trace(b, axis1=1, axis2=2)
-        exact[t : t + len(x)] = (tr_a * tr_b + np.einsum("kij,kji->k", a, b)) / (d * (d + 1))
-        coef[:, t : t + len(x)] = _coefficients(m).transpose(2, 0, 1)
-    return coef.view(float).reshape(d * d, 4 * k), exact
-
-
-def _deviations(vectors: np.ndarray, coef: np.ndarray, exact: np.ndarray) -> np.ndarray:
-    """|mean over the vectors of v†Av v†Bv - exact| for each trial of ``_functionals``."""
-    n, d = vectors.shape
-    rows = max(1, _FEATURE_FLOATS // d**2)
-    total = np.zeros(len(exact), dtype=complex)
-    for lo in range(0, n, rows):
-        # a contiguous copy: every memory layout of the input then runs the same
-        # numpy loops (SIMD or strided), so the result does not depend on it
-        columns = np.ascontiguousarray(vectors[lo : lo + rows].T)
-        forms = (_features(columns).T @ coef).view(complex).reshape(-1, len(exact), 2)  # v†Av, v†Bv
-        total += np.sum(forms[..., 0] * forms[..., 1], axis=0)
-    return np.abs(total / n - exact)
-
-
-def design_check(vectors: np.ndarray, trials: int, rng: np.random.Generator) -> float:
-    """Max deviation of the discrete average of tr(pi A) tr(pi B) from the
-    Haar value, over ``trials >= 1`` random operator pairs. Near zero iff
-    the vectors form a projective 2-design; NaN if any deviation is NaN.
-
-    Draw order, part of the result for a given seed: trial by trial, Re A,
-    Im A, Re B, Im B, each d x d standard normals in row-major order, as
-    four ``rng.standard_normal((d, d))`` calls per trial would draw them;
-    the draws come in chunks of whole trials and leave the generator in the
-    same state. The quadratic forms v†Av, v†Bv of a block of vectors and a
-    block of trials are one real matrix product f(v) . c(M).
+def design_check(vectors: np.ndarray) -> float:
+    """delta = ||D - Pi||_F^2 d(d+1)/2 for the rows v of ``vectors``, with D
+    their ``design_operator`` and Pi the Haar ``pi_operator``. By the frame
+    potential FP = mean over pairs of |<v_i|v_j>|^4 (Renes, Blume-Kohout,
+    Scott & Caves, J. Math. Phys. 45, 2171, 2004) it is
+    FP d(d+1)/2 - 2 mean ||v||^4 + 1: zero iff the vectors form a projective
+    2-design, a squared norm for any vectors, NaN if any input is NaN. A
+    contiguous copy makes the bits independent of the input's memory layout.
     """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
-    d = vectors.shape[1]
-    block = max(1, _COEF_FLOATS // (4 * d**2))
-    # one call pair per block of trials, so each block's arrays are freed before the next is drawn
-    deviations = [
-        _deviations(vectors, *_functionals(min(block, trials - first), d, rng)) for first in range(0, trials, block)
-    ]
-    return float(np.max(np.concatenate(deviations)))
+    vectors = np.atleast_2d(np.ascontiguousarray(vectors, dtype=complex))
+    n, d = vectors.shape
+    if n == 0:
+        raise DimMismatchError("need at least one vector")
+    rows = max(1, _GRAM_ENTRIES // n)
+    blocks = (vectors[lo : lo + rows].conj() @ vectors.T for lo in range(0, n, rows))
+    frame = math.fsum(float(np.sum((g.real**2 + g.imag**2) ** 2)) for g in blocks) / n**2
+    norms = np.sum(vectors.real**2 + vectors.imag**2, axis=1)
+    return frame * d * (d + 1) / 2 - 2 * float(np.mean(norms**2)) + 1
 
 
 def mub_design_residual(mub: MubSet) -> float:

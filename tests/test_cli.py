@@ -56,11 +56,32 @@ def test_design_check_pass_and_fail(tmp_path, capsys):
     single.write_text(serialize.dumps([serialize.matrix_to_json(np.eye(2))]))
     assert main(["design-check", "--in", str(single), "--trials", "20"]) == 1
 
+    # the d = 25 unbiased bases less one basis, perturbed by 1e-7 per entry, and halved
+    bases = qd.wootters_fields_mub(5, 2).bases
+    rng = np.random.default_rng(75)
+    noise = [1e-7 * (rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)) for b in bases]
+    for name, near in (("less-one", bases[1:]), ("perturbed", [b + e for b, e in zip(bases, noise)]),
+                       ("half", [0.5 * b for b in bases])):  # fmt: skip
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize.dumps([serialize.matrix_to_json(b) for b in near]))
+        assert main(["design-check", "--in", str(path)]) == 1, name
+        assert "not a 2-design" in capsys.readouterr().err
+
     empty = tmp_path / "empty.json"
     empty.write_text("")
     assert main(["design-check", "--in", str(empty), "--trials", "5"]) == 2
     missing = str(tmp_path / "nope.json")
     assert main(["design-check", "--in", missing, "--trials", "5"]) == 2
+
+
+def test_design_check_ignores_trials_and_seed(tmp_path, capsys):
+    mub = tmp_path / "mub9.json"
+    assert main(["mub", "--p", "3", "--n", "2", "--out", str(mub)]) == 0
+    outputs = set()
+    for extra in ([], ["--trials", "1"], ["--trials", "250", "--seed", "7"]):
+        assert main(["design-check", "--in", str(mub), *extra]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
 
 
 def test_design_check_zero_trials_exit_2(tmp_path, capsys):
@@ -76,7 +97,7 @@ def test_design_check_zero_trials_exit_2(tmp_path, capsys):
 def test_design_check_nan_deviation_fails(tmp_path, capsys, monkeypatch):
     mub = tmp_path / "mub3.json"
     assert main(["mub", "--p", "3", "--out", str(mub)]) == 0
-    monkeypatch.setattr(cli, "design_check", lambda vectors, trials, rng: float("nan"))
+    monkeypatch.setattr(cli, "design_check", lambda vectors: float("nan"))
     assert main(["design-check", "--in", str(mub)]) == 1
     captured = capsys.readouterr()
     assert "nan" in captured.out and "not a 2-design" in captured.err

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import infodist as qd
-from infodist.config import MUB_CAP
-from infodist.errors import EvenPrimeError
-from infodist.galois import _coefficients, _features, _trace_tables, is_irreducible
+from infodist.config import DESIGN, MUB_CAP
+from infodist.errors import DimMismatchError, EvenPrimeError
+from infodist.galois import _trace_tables, is_irreducible
 
 
 def test_find_irreducible_known_moduli():
@@ -187,74 +187,51 @@ def test_mub_design_matches_haar_moment(p, n):
 
 
 def test_design_check_mub_vs_single_basis():
-    rng = np.random.default_rng(61)
-    mub = qd.wootters_fields_mub(5, 1)
-    assert qd.design_check(mub.vectors(), 100, rng) < 1e-12
-    # one basis alone is far from a 2-design
-    single = np.eye(2, dtype=complex)
-    assert qd.design_check(single, 50, rng) > 0.01
+    assert abs(qd.design_check(qd.wootters_fields_mub(5, 1).vectors())) < DESIGN
+    # one basis alone is far from a 2-design: frame potential 1/d, so delta = (d - 1)/2
+    for d in (2, 5, 49):
+        assert qd.design_check(np.eye(d, dtype=complex)) == pytest.approx((d - 1) / 2, rel=1e-14)
 
 
-def _design_check_einsum(vectors, trials, rng):
-    # the 3-operand einsum form design_check had before its row-dot kernel
+def _mub_vectors(d):
+    if d == 2:  # the eigenbases of the three Pauli matrices
+        return np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]]) / np.sqrt([1, 1, 2, 2, 2, 2])[:, None]
+    return qd.wootters_fields_mub(*qd.odd_prime_power(d)).vectors()
+
+
+def _design_check_einsum(vectors):
+    # the squared Frobenius distance of the einsum-built operators, scaled as design_check scales it
     d = vectors.shape[1]
-    worst = 0.0
-    for _ in range(trials):
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        va = np.einsum("md,de,me->m", vectors.conj(), a, vectors)
-        vb = np.einsum("md,de,me->m", vectors.conj(), b, vectors)
-        exact = (np.trace(a) * np.trace(b) + np.trace(a @ b)) / (d * (d + 1))
-        worst = max(worst, float(abs(np.mean(va * vb) - exact)))
-    return worst
+    return float(np.sum(np.abs(qd.design_operator(vectors) - qd.pi_operator(d)) ** 2)) * d * (d + 1) / 2
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 12), (5, 7), (9, 40)])
 def test_design_check_matches_einsum_reference(d, n):
-    vectors = qd.haar_states(d, n, np.random.default_rng(63))
-    got = qd.design_check(vectors, 20, np.random.default_rng(64))
-    ref = _design_check_einsum(vectors, 20, np.random.default_rng(64))
-    assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
-    mub = qd.wootters_fields_mub(3, 2).vectors()
-    assert qd.design_check(mub, 20, np.random.default_rng(65)) < 1e-12
-    assert _design_check_einsum(mub, 20, np.random.default_rng(65)) < 1e-12
+    haar = qd.haar_states(d, n, np.random.default_rng(63))
+    mub = _mub_vectors(d)
+    # non-designs: Haar vectors, the unbiased bases less one, and unnormalised sets
+    for vectors in (haar, mub[d:], 0.5 * mub, 1.3 * haar):
+        assert qd.design_check(vectors) == pytest.approx(_design_check_einsum(vectors), rel=1e-12)
+    assert abs(qd.design_check(mub)) < 1e-15
+    assert _design_check_einsum(mub) < 1e-15
 
 
 def test_design_check_nan_is_not_dropped():
-    # a NaN deviation must come out as NaN, not lose to the running max
     vectors = np.eye(3, dtype=complex)
     vectors[1, 1] = np.nan
-    assert np.isnan(qd.design_check(vectors, 3, np.random.default_rng(66)))
+    assert np.isnan(qd.design_check(vectors))
 
 
-def test_design_check_feature_identity():
-    # v†Mv = f(v) . c(M), the identity the kernel's real matrix product rests on
-    rng = np.random.default_rng(62)
-    for d in (1, 2, 7):
-        vectors = qd.haar_states(d, 5, rng)
-        units = np.eye(d, dtype=complex)
-        ms = [units] + [np.outer(units[i], units[j]) for i in range(d) for j in range(d)]
-        ms.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        f = _features(vectors.T)
-        for m in ms:
-            direct = np.einsum("md,de,me->m", vectors.conj(), m, vectors)
-            assert np.abs(f.T @ _coefficients(m) - direct).max() <= 1e-14
+def test_design_check_rejects_empty():
+    with pytest.raises(DimMismatchError, match="need at least one vector"):
+        qd.design_check(np.zeros((0, 3), dtype=complex))
 
 
-def _design_check_loop(vectors, trials, rng):
-    # design_check as a loop over trials, one row-dot pass per random operator
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
-    d = vectors.shape[1]
-    deviations = []
-    for _ in range(trials):
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        va = np.sum(vectors.conj() * (vectors @ a.T), axis=1)
-        vb = np.sum(vectors.conj() * (vectors @ b.T), axis=1)
-        discrete = np.mean(va * vb)
-        exact = (np.trace(a) * np.trace(b) + np.trace(a @ b)) / (d * (d + 1))
-        deviations.append(abs(discrete - exact))
-    return float(np.max(deviations))
+def _design_check_loop(vectors):
+    # design_check as a loop over the vectors, one row of the Gram matrix each
+    n, d = vectors.shape
+    frame = sum(float(np.sum(np.abs(vectors @ v.conj()) ** 4)) for v in vectors) / n**2
+    return frame * d * (d + 1) / 2 - 2 * float(np.mean(np.linalg.norm(vectors, axis=1) ** 4)) + 1
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2)])
@@ -263,20 +240,36 @@ def test_design_check_matches_the_loop(p, n):
     mub = qd.wootters_fields_mub(p, n).vectors()
     # non-designs: Haar vectors, and the unbiased bases less the first one
     for vectors in (qd.haar_states(d, len(mub), np.random.default_rng(67)), mub[d:]):
-        got = qd.design_check(vectors, 7, np.random.default_rng(68))
-        assert got == pytest.approx(_design_check_loop(vectors, 7, np.random.default_rng(68)), rel=1e-12)
+        got = qd.design_check(vectors)
+        assert got == pytest.approx(_design_check_loop(vectors), rel=1e-12)
         assert got > 1e-3
-    got = qd.design_check(mub, 7, np.random.default_rng(69))
-    assert abs(got - _design_check_loop(mub, 7, np.random.default_rng(69))) <= 1e-14
+    assert abs(qd.design_check(mub) - _design_check_loop(mub)) <= 1e-14
 
 
-@pytest.mark.parametrize("trials", [1, 7, 37, 100, 250])
-def test_design_check_draws_like_the_loop(trials):
-    # at d = 49 a coefficient block holds 109 trials and a draw 6, so 250 trials span three blocks
-    vectors = qd.haar_states(49, 3, np.random.default_rng(70))
-    rng, ref = np.random.default_rng(71), np.random.default_rng(71)
-    assert qd.design_check(vectors, trials, rng) == pytest.approx(_design_check_loop(vectors, trials, ref), rel=1e-12)
-    assert rng.bit_generator.state == ref.bit_generator.state
+def test_design_check_passes_every_mub_set():
+    for d in range(3, MUB_CAP + 1):
+        if qd.odd_prime_power(d) is not None:
+            assert abs(qd.design_check(_mub_vectors(d))) < DESIGN, d
+
+
+def _perturbed(vectors, eps=1e-7):
+    rng = np.random.default_rng(74)
+    return vectors + eps * (rng.standard_normal(vectors.shape) + 1j * rng.standard_normal(vectors.shape))
+
+
+@pytest.mark.parametrize(
+    "near,expected",
+    [
+        (lambda mub: mub[49:], 1.0e-2),  # less one basis
+        (_perturbed, 2.0e-12),  # quadratic in a defect of 1e-7 per entry
+        (lambda mub: 0.5 * mub, (15 / 16) ** 2),  # non-unit vectors: (1 - 0.5^4)^2, not a negative excess
+    ],
+    ids=["less-one-basis", "perturbed", "half"],
+)
+def test_design_check_fails_near_designs(near, expected):
+    delta = qd.design_check(near(_mub_vectors(49)))
+    assert delta > DESIGN
+    assert delta == pytest.approx(expected, rel=0.05)
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (7, 2)])
@@ -286,17 +279,16 @@ def test_design_check_ignores_memory_layout(p, n):
     strided = np.zeros((2 * len(vectors), 2 * p**n), dtype=complex)[::2, ::2]
     strided[...] = vectors
     layouts = (np.ascontiguousarray(vectors), np.asfortranarray(vectors), strided)
-    results = {qd.design_check(v, 100, np.random.default_rng(72)) for v in layouts}
-    assert len(results) == 1
+    assert len({qd.design_check(v) for v in layouts}) == 1
 
 
 def test_design_check_memory_stays_blocked():
-    # the d = 49 unbiased bases (2450 vectors) at 100 trials: an unblocked kernel peaks near 30 MB
+    # the d = 49 unbiased bases (2450 vectors): their whole Gram matrix would take 96 MB
     vectors = qd.wootters_fields_mub(7, 2).vectors()
     tracemalloc.start()
     try:
-        qd.design_check(vectors, 100, np.random.default_rng(73))
+        qd.design_check(vectors)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12e6
+    assert peak <= 8e6

@@ -21,7 +21,7 @@ from infodist.cli import main
 
 GOLDEN = {
     "mub": "6758aedce72bade9ba41bb71e878a41149054f1b93c8b7965ddb8620716820af",
-    "design-check": "a4ef62d1d9be85d4c4eece8059bb21185cd39bf37815bf113258b56bb158d04d",
+    "design-check": "6e1a46b33dc21c83a443573b28107d9654f4a37169d2286fab3cf82b02280af1",
     "info-bits": "b6d55dc2853fd38b347105b85ae3c69657466d935e2203b82752af402654b9b8",
     "disturbance-exact": "65b04cea36c81867ad4af3231687b40d514842e64fd0fec6a2bd245e0d3b6afb",
     "disturbance-mc": "662d02914add1cc6524c7943b351fb7000f97a3e6a6674920ec47e1076fe1b4b",

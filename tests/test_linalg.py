@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import infodist as qd
+from infodist import serialize
+from infodist.cli import main
 from infodist.errors import DimMismatchError, NonHermitianError, NonSquareError, NotPositiveError, WeightError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -276,7 +278,7 @@ def test_nan_weight_fails_the_distribution_gate():
         qd.info_finite_ensemble(basis, [(e0, np.nan), (e1, 1.0)])
 
 
-def test_each_gate_sits_at_its_threshold():
+def test_each_gate_sits_at_its_threshold(tmp_path):
     # just outside, then just inside, each constant in infodist.config
     eye = np.eye(2, dtype=complex)
     with pytest.raises(NonHermitianError):  # HERM_GATE = 1e-8
@@ -297,6 +299,12 @@ def test_each_gate_sits_at_its_threshold():
     with pytest.raises(DimMismatchError):  # ALGEBRAIC = 1e-10 on the isometry's |m|^2 - 1
         qd.entfid_bound_check(qd.basis_povm(2), np.sqrt(1 + 2e-10) * eye)
     qd.entfid_bound_check(qd.basis_povm(2), np.sqrt(1 + 5e-11) * eye)
+    # DESIGN = 1e-13 in design-check: unbiased bases scaled by s have delta = (1 - s^4)^2
+    for delta, code in ((2e-13, 1), (5e-14, 0)):
+        scale = (1 - np.sqrt(delta)) ** 0.25
+        bases = tmp_path / f"scaled{code}.json"
+        bases.write_text(serialize.dumps([serialize.matrix_to_json(scale * b) for b in qd.wootters_fields_mub(3, 1).bases]))
+        assert main(["design-check", "--in", str(bases)]) == code
 
 
 _SAMPLERS = {
