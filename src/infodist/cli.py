@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -37,11 +38,19 @@ class ValidationFailure(Exception):
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    # the parse makes one list per matrix entry, none in a cycle: the cyclic collector would only rescan them
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _load_povm(path: str) -> POVM:
@@ -100,7 +109,7 @@ def _read_vectors(path: str) -> np.ndarray:
 
 def cmd_design_check(args) -> int:
     delta = design_check(_read_vectors(args.infile))
-    print(f"squared distance from the Haar second moment, ||D - Pi||_F^2 d(d+1)/2: {delta:.17g}")
+    _emit(f"squared distance from the Haar second moment, ||D - Pi||_F^2 d(d+1)/2: {delta:.17g}\n", args.out)
     if not delta < DESIGN:  # a NaN distance fails too
         raise ValidationFailure(f"vectors are not a 2-design (distance {delta:.3e} >= {DESIGN:.0e})")
     return 0

@@ -77,11 +77,12 @@ def _branch_overlap_samples(inst: Instrument, states: np.ndarray) -> np.ndarray:
     Evaluated as a Rayleigh quotient (divided by <psi|psi>^2) so rounding in
     the state normalization cancels; the identity instrument gives exactly 1.
     """
+    bras = states.conj()
     vals = np.zeros(states.shape[0])
     for a in inst.kraus_ops():
-        amp = np.einsum("nd,nd->n", states.conj(), states @ a.T)
+        amp = np.einsum("nd,nd->n", bras, states @ a.T)
         vals += np.abs(amp) ** 2
-    norm = np.einsum("nd,nd->n", states.conj(), states).real
+    norm = np.einsum("nd,nd->n", bras, states).real
     return vals / norm**2
 
 

@@ -235,14 +235,24 @@ def design_check(vectors: np.ndarray) -> float:
     FP d(d+1)/2 - 2 mean ||v||^4 + 1: zero iff the vectors form a projective
     2-design, a squared norm for any vectors, NaN if any input is NaN. A
     contiguous copy makes the bits independent of the input's memory layout.
+
+    |<v_i|v_j>|^4 is symmetric, so only the upper block triangle of the Gram
+    matrix is formed: block row [lo, lo + rows) against columns [lo, n),
+    its square diagonal block counted once and the rest twice.
     """
     vectors = np.atleast_2d(np.ascontiguousarray(vectors, dtype=complex))
     n, d = vectors.shape
     if n == 0:
         raise DimMismatchError("need at least one vector")
     rows = max(1, _GRAM_ENTRIES // n)
-    blocks = (vectors[lo : lo + rows].conj() @ vectors.T for lo in range(0, n, rows))
-    frame = math.fsum(float(np.sum((g.real**2 + g.imag**2) ** 2)) for g in blocks) / n**2
+    sums = []
+    for lo in range(0, n, rows):
+        g = vectors[lo : lo + rows].conj() @ vectors[lo:].T
+        t = g.real**2
+        t += g.imag**2
+        t *= t
+        sums += [float(np.sum(t[:, :rows])), 2 * float(np.sum(t[:, rows:]))]
+    frame = math.fsum(sums) / n**2
     norms = np.sum(vectors.real**2 + vectors.imag**2, axis=1)
     return frame * d * (d + 1) / 2 - 2 * float(np.mean(norms**2)) + 1
 

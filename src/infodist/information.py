@@ -104,9 +104,8 @@ def _outcome_probabilities(povm: POVM, states: np.ndarray) -> np.ndarray:
     Rows are renormalized to sum to one (they do exactly, by completeness),
     which removes rounding noise; a single-effect POVM is exactly noiseless.
     """
-    cols = [
-        np.einsum("nd,nd->n", states.conj(), states @ e.T).real for e in povm.effects
-    ]
+    bras = states.conj()
+    cols = [np.einsum("nd,nd->n", bras, states @ e.T).real for e in povm.effects]
     p = np.clip(np.stack(cols, axis=1), 0.0, None)
     return p / np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
 

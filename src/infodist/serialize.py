@@ -6,11 +6,12 @@ shape (rows * cols, 2); on disk it is that list of pairs.
 
 JSON output is defined as the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2)`` plus a newline, with every array rendered as its ``tolist()``.
-``dumps`` writes exactly those bytes, but formats matrix payloads in bulk:
-each distinct double is formatted once and the indented pairs are laid out
-by one C-level ``str.format``. Dicts, lists and scalars keep json's own
-rendering. CSV output uses 17 significant digits, '.' decimals and LF line
-endings so doubles round-trip losslessly.
+``dumps`` writes exactly those bytes in one pass, appending every piece to
+one list and joining it once. A matrix payload is laid out in bulk: each
+distinct [re, im] pair is formatted once and the indented pairs are joined
+by one ``str.join``. Dicts, lists and scalars keep json's own rendering.
+CSV output uses 17 significant digits, '.' decimals and LF line endings so
+doubles round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -90,49 +91,63 @@ def frontier_to_json(points: list[FrontierPoint]) -> list[dict]:
     return [asdict(pt) for pt in points]
 
 
-def _pairs_text(pairs: np.ndarray, pad: str) -> str:
-    """An (n, 2) float array as json's indented list of [re, im] pairs."""
+def _write_pairs(pairs: np.ndarray, pad: str, out: list[str]) -> None:
+    """Append an (n, 2) float array as json's indented list of [re, im] pairs."""
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype != float:
         raise TypeError(f"cannot encode an array of shape {pairs.shape} and dtype {pairs.dtype}")
     if not len(pairs):
-        return "[]"
-    # one text per distinct bit pattern, so -0.0 and each NaN stay apart
-    bits, where = np.unique(np.ascontiguousarray(pairs).view(np.int64), return_inverse=True)
-    texts = np.array([json.dumps(x) for x in bits.view(float).tolist()], dtype=object)
+        out.append("[]")
+        return
+    # one text per distinct pair of bit patterns, so -0.0 and each NaN stay apart
+    bits, parts = np.unique(np.ascontiguousarray(pairs).view(np.int64), return_inverse=True)
+    parts = parts.reshape(-1, 2)
+    m = len(bits)
+    keys, where = np.unique(parts[:, 0] * m + parts[:, 1], return_inverse=True)
+    texts = [json.dumps(x) for x in bits.view(float).tolist()]
     inner, entry = pad + "  ", pad + "    "
-    pair = f"{inner}[\n{entry}{{}},\n{entry}{{}}\n{inner}]"
-    body = ",\n".join([pair] * len(pairs)).format(*texts[where.ravel()].tolist())
-    return f"[\n{body}\n{pad}]"
+    pair = np.array([f"{texts[k // m]},\n{entry}{texts[k % m]}" for k in keys.tolist()], dtype=object)
+    out += [f"[\n{inner}[\n{entry}", f"\n{inner}],\n{inner}[\n{entry}".join(pair[where].tolist()), f"\n{inner}]\n{pad}]"]
 
 
-def _text(obj, pad: str) -> str:
-    """``obj`` as json writes it ``pad`` deep. A subtree json can encode is
-    json's own text, re-indented (JSON strings hold no raw newline); json
-    cannot encode arrays, so a container holding one is laid out here."""
+def _write(obj, pad: str, out: list[str]) -> None:
+    """Append ``obj`` as json writes it ``pad`` deep. A subtree json can
+    encode is json's own text, re-indented (JSON strings hold no raw
+    newline); json cannot encode arrays, so a container holding one is laid
+    out here."""
     if isinstance(obj, np.ndarray):
-        return _pairs_text(obj, pad)
+        _write_pairs(obj, pad, out)
+        return
+    if not isinstance(obj, (dict, list, tuple)):
+        out.append(json.dumps(obj))  # a scalar's text does not depend on its depth
+        return
     try:
-        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad))
+        return
     except TypeError:
-        if not isinstance(obj, (dict, list, tuple)):
-            raise
-    inner = pad + "  "
+        pass
     if isinstance(obj, dict):
-        items = []
+        items, brackets = [], "{}"
         for key, value in sorted(obj.items()):
             if not isinstance(key, (str, int, float)) and key is not None:
                 raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
             # json spells a non-string key as the string of its JSON text
-            name = json.dumps(key if isinstance(key, str) else json.dumps(key))
-            items.append(f"{inner}{name}: {_text(value, inner)}")
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    return "[\n" + ",\n".join(inner + _text(v, inner) for v in obj) + f"\n{pad}]"
+            items.append((json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", value))
+    else:
+        items, brackets = [("", value) for value in obj], "[]"
+    out.append(brackets[0])
+    for i, (name, value) in enumerate(items):
+        out.append(f"{',' if i else ''}\n{pad}  {name}")
+        _write(value, pad + "  ", out)
+    out.append(f"\n{pad}{brackets[1]}")
 
 
 def dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, byte for
     byte, with matrix payloads (float arrays) written in bulk."""
-    return _text(obj, "") + "\n"
+    out: list[str] = []
+    _write(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def frontier_to_csv(points: list[FrontierPoint]) -> str:

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -72,6 +73,40 @@ def test_design_check_pass_and_fail(tmp_path, capsys):
     assert main(["design-check", "--in", str(empty), "--trials", "5"]) == 2
     missing = str(tmp_path / "nope.json")
     assert main(["design-check", "--in", missing, "--trials", "5"]) == 2
+
+
+def test_design_check_writes_its_verdict_to_out(tmp_path, capsys):
+    mub = tmp_path / "mub3.json"
+    assert main(["mub", "--p", "3", "--out", str(mub)]) == 0
+    single = tmp_path / "single.json"
+    single.write_text(serialize.dumps([serialize.matrix_to_json(np.eye(2))]))
+    for infile, rc in ((mub, 0), (single, 1)):
+        assert main(["design-check", "--in", str(infile)]) == rc
+        line = capsys.readouterr().out
+        out = tmp_path / f"{infile.stem}.txt"
+        assert main(["design-check", "--in", str(infile), "--out", str(out)]) == rc
+        captured = capsys.readouterr()
+        assert out.read_text() == line and line.count("\n") == 1 and captured.out == ""
+        assert ("not a 2-design" in captured.err) == (rc == 1)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_read_json_leaves_the_collector_as_it_found_it(tmp_path, capsys, collecting):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"a": [[1.0, 0.0]]}')
+    bad.write_text('{"a": [')
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        assert cli._read_json(str(good)) == {"a": [[1.0, 0.0]]}
+        assert gc.isenabled() == collecting
+        with pytest.raises(cli.UsageError, match="is not valid JSON"):
+            cli._read_json(str(bad))
+        assert gc.isenabled() == collecting
+        assert main(["design-check", "--in", str(bad)]) == 2
+        assert gc.isenabled() == collecting
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_design_check_ignores_trials_and_seed(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import infodist as qd
+from infodist import galois
 from infodist.config import DESIGN, MUB_CAP
 from infodist.errors import DimMismatchError, EvenPrimeError
 from infodist.galois import _trace_tables, is_irreducible
@@ -244,6 +245,29 @@ def test_design_check_matches_the_loop(p, n):
         assert got == pytest.approx(_design_check_loop(vectors), rel=1e-12)
         assert got > 1e-3
     assert abs(qd.design_check(mub) - _design_check_loop(mub)) <= 1e-14
+
+
+@pytest.mark.parametrize("entries", [2**7, 2**10, 2**11])
+def test_design_check_over_many_blocks(entries, monkeypatch):
+    # 90 vectors in 1-, 11- or 22-row blocks; the last block is ragged at 11 and 22
+    monkeypatch.setattr(galois, "_GRAM_ENTRIES", entries)
+    mub = qd.wootters_fields_mub(3, 2).vectors()
+    for vectors in (qd.haar_states(9, len(mub), np.random.default_rng(68)), 1.3 * mub[9:], mub):
+        assert qd.design_check(vectors) == pytest.approx(_design_check_loop(vectors), rel=1e-12, abs=1e-14)
+    assert abs(qd.design_check(mub)) <= 1e-14
+    last_nan = mub.copy()
+    last_nan[-1, -1] = np.nan
+    assert np.isnan(qd.design_check(last_nan))
+
+
+def test_design_check_in_one_block_is_the_full_gram_sum():
+    # every vector fits in one block: the sum is the whole Gram matrix's, bit for bit
+    for vectors in (qd.wootters_fields_mub(3, 2).vectors(), qd.haar_states(5, 40, np.random.default_rng(69))):
+        n, d = vectors.shape
+        g = vectors.conj() @ vectors.T
+        frame = float(np.sum((g.real**2 + g.imag**2) ** 2)) / n**2
+        norms = np.sum(vectors.real**2 + vectors.imag**2, axis=1)
+        assert qd.design_check(vectors) == frame * d * (d + 1) / 2 - 2 * float(np.mean(norms**2)) + 1
 
 
 def test_design_check_passes_every_mub_set():

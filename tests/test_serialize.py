@@ -131,6 +131,13 @@ def _non_finite_matrix():
     return serialize.matrix_to_json(np.array([[np.nan, np.inf], [-np.inf, complex(np.inf, np.nan)]]))
 
 
+def _matrix_of_pairs(pairs, shape):
+    """A matrix JSON object whose entries carry exactly the given (re, im) bits."""
+    z = np.empty(len(pairs), dtype=complex)
+    z.real, z.imag = np.array(pairs, dtype=float).T
+    return serialize.matrix_to_json(z.reshape(shape))
+
+
 def _float64_report():
     report = qd.avg_fidelity_mc(qd.sqrt_instrument(qd.basis_povm(2)), 50, np.random.default_rng(6))
     return {"report": serialize.report_to_json(report), "x": np.float64(0.1), "m": serialize.matrix_to_json(np.eye(2))}
@@ -150,6 +157,17 @@ ORACLE_CASES = {
     "non-string-keys": lambda: {1: serialize.matrix_to_json(np.eye(1)), 2.5: (None, True), 0: "x"},
     "frontier": _small_frontier,
     "scalar": lambda: 0.1,
+    "shared-real-part": lambda: _matrix_of_pairs([(0.5, 1.0), (0.5, -1.0), (0.5, 1.0), (-0.5, 1.0)], (2, 2)),
+    "signed-zero-pairs": lambda: _matrix_of_pairs([(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (0.0, -0.0)], (2, 2)),
+    "non-finite-pairs": lambda: _matrix_of_pairs(
+        [(np.nan, np.inf), (np.inf, np.nan), (-np.inf, np.inf), (np.inf, -np.inf), (np.nan, np.nan), (np.nan, 0.0)],
+        (3, 2),
+    ),
+    "one-by-one": lambda: serialize.matrix_to_json(np.array([[0.25 - 0.75j]])),
+    "distinct-60x60": lambda: serialize.matrix_to_json(
+        np.random.default_rng(8).standard_normal((60, 60)) + 1j * np.random.default_rng(9).standard_normal((60, 60))
+    ),
+    "mub-7-1": lambda: serialize.mubset_to_json(qd.wootters_fields_mub(7, 1), p=7, n=1),
 }
 
 
