@@ -1,6 +1,11 @@
 """Command-line front end.
 
 Subcommands: mub, design-check, disturbance, info, frontier, twirl-check.
+``build_parser`` registers them from one table: name, help, handler and
+the function that adds the subcommand's arguments. ``main`` builds only the
+invoked subcommand's arguments; the other subcommands stay registered, bare,
+so usage, help and error text are those of the full parser. A first word
+that names no subcommand (an option, a typo, none) gets the full parser.
 All randomness is seeded (flag --seed, default 0; never the clock), so
 identical invocations produce byte-identical outputs.
 
@@ -157,8 +162,11 @@ def cmd_frontier(args) -> int:
 
 def cmd_twirl_check(args) -> int:
     povm = _load_povm(args.povm)
+    try:
+        p_star = twirl_depolarizing_p(povm)
+    except ValueError as exc:  # dimension 1
+        raise ValidationFailure(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
-    p_star = twirl_depolarizing_p(povm)
     ratios = []
     for _ in range(args.states):
         rho = random_density(povm.dim, rng)
@@ -205,67 +213,89 @@ def _add_common(parser: argparse.ArgumentParser, seed=True) -> None:
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_IGNORED = "ignored: what it tuned is gone; parsed until ROADMAP item 5 stops perfbench passing it"
+
+
+def _mub_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p", type=int, required=True, help="odd prime characteristic")
+    p.add_argument("--n", type=int, default=1, help="field extension degree")
+    _add_common(p, seed=False)
+
+
+def _design_check_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--in", dest="infile", required=True, help="bases JSON (as written by mub)")
+    p.add_argument("--trials", type=_at_least(1), default=100, help=_IGNORED)
+    p.add_argument("--seed", type=_at_least(0), default=0, help=_IGNORED)
+    _add_common(p, seed=False)
+
+
+def _disturbance_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--povm", required=True, help="POVM JSON file")
+    p.add_argument("--method", choices=("exact", "mc", "design"), default="exact")
+    p.add_argument("--samples", type=_at_least(2), default=100_000)
+    _add_common(p)
+
+
+def _info_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--povm", required=True, help="POVM JSON file")
+    p.add_argument("--samples", type=_at_least(2), default=100_000)
+    p.add_argument("--bits", action="store_true", help="report in bits instead of nats")
+    _add_common(p)
+
+
+def _frontier_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=_at_least(2), required=True)
+    p.add_argument("--grid", type=_at_least(2), default=11, help="number of p values on [0, d/(d+1)]")
+    p.add_argument(
+        "--samples", type=_at_least(2), default=200, help="Haar states in each point's Monte Carlo re-score (JSON only)"
+    )
+    p.add_argument("--json", default=None, help="also write the JSON variant with each point's seeds and re-scores")
+    p.add_argument("--restarts", type=_at_least(1), default=16, help=_IGNORED)
+    p.add_argument("--max-iter", dest="max_iter", type=_at_least(1), default=500, help=_IGNORED)
+    p.add_argument("--allow-nonconverged", action="store_true", help=_IGNORED)
+    _add_common(p)
+
+
+def _twirl_check_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--povm", required=True, help="POVM JSON file")
+    p.add_argument("--samples", type=_at_least(2), default=10_000)
+    p.add_argument("--states", type=_at_least(1), default=3, help="number of random test states")
+    _add_common(p)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``infodist`` parser. Every subcommand is registered, so usage,
+    help and choices never change; only ``command``'s subparser gets its
+    arguments, unless ``command`` names no subcommand (None, an option, a
+    typo), in which case all of them do."""
     parser = argparse.ArgumentParser(
         prog="infodist",
         description="Information-disturbance tradeoff of quantum measurements on the uniform ensemble",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    ignored = "ignored: what it tuned is gone; parsed until ROADMAP item 5 stops perfbench passing it"
-
-    p_mub = sub.add_parser("mub", help="construct mutually unbiased bases in dimension p^n")
-    p_mub.add_argument("--p", type=int, required=True, help="odd prime characteristic")
-    p_mub.add_argument("--n", type=int, default=1, help="field extension degree")
-    _add_common(p_mub, seed=False)
-    p_mub.set_defaults(func=cmd_mub)
-
-    p_dc = sub.add_parser("design-check", help="test a set of bases for the 2-design property")
-    p_dc.add_argument("--in", dest="infile", required=True, help="bases JSON (as written by mub)")
-    p_dc.add_argument("--trials", type=_at_least(1), default=100, help=ignored)
-    p_dc.add_argument("--seed", type=_at_least(0), default=0, help=ignored)
-    _add_common(p_dc, seed=False)
-    p_dc.set_defaults(func=cmd_design_check)
-
-    p_dist = sub.add_parser("disturbance", help="minimal disturbance of a POVM on the uniform ensemble")
-    p_dist.add_argument("--povm", required=True, help="POVM JSON file")
-    p_dist.add_argument("--method", choices=("exact", "mc", "design"), default="exact")
-    p_dist.add_argument("--samples", type=_at_least(2), default=100_000)
-    _add_common(p_dist)
-    p_dist.set_defaults(func=cmd_disturbance)
-
-    p_info = sub.add_parser("info", help="outcome-state mutual information for the uniform ensemble")
-    p_info.add_argument("--povm", required=True, help="POVM JSON file")
-    p_info.add_argument("--samples", type=_at_least(2), default=100_000)
-    p_info.add_argument("--bits", action="store_true", help="report in bits instead of nats")
-    _add_common(p_info)
-    p_info.set_defaults(func=cmd_info)
-
-    p_fr = sub.add_parser("frontier", help="information-disturbance frontier of the uniform ensemble")
-    p_fr.add_argument("--d", type=_at_least(2), required=True)
-    p_fr.add_argument("--grid", type=_at_least(2), default=11, help="number of p values on [0, d/(d+1)]")
-    p_fr.add_argument(
-        "--samples", type=_at_least(2), default=200, help="Haar states in each point's Monte Carlo re-score (JSON only)"
+    # name, help, handler, arguments; built on each call, so a rebound cmd_* (a wrapper) is the one dispatched to
+    commands = (
+        ("mub", "construct mutually unbiased bases in dimension p^n", cmd_mub, _mub_args),
+        ("design-check", "test a set of bases for the 2-design property", cmd_design_check, _design_check_args),
+        ("disturbance", "minimal disturbance of a POVM on the uniform ensemble", cmd_disturbance, _disturbance_args),
+        ("info", "outcome-state mutual information for the uniform ensemble", cmd_info, _info_args),
+        ("frontier", "information-disturbance frontier of the uniform ensemble", cmd_frontier, _frontier_args),
+        ("twirl-check", "verify the Haar twirl matches the depolarizing form", cmd_twirl_check, _twirl_check_args),
     )
-    p_fr.add_argument("--json", default=None, help="also write the JSON variant with each point's seeds and re-scores")
-    p_fr.add_argument("--restarts", type=_at_least(1), default=16, help=ignored)
-    p_fr.add_argument("--max-iter", dest="max_iter", type=_at_least(1), default=500, help=ignored)
-    p_fr.add_argument("--allow-nonconverged", action="store_true", help=ignored)
-    _add_common(p_fr)
-    p_fr.set_defaults(func=cmd_frontier)
-
-    p_tw = sub.add_parser("twirl-check", help="verify the Haar twirl matches the depolarizing form")
-    p_tw.add_argument("--povm", required=True, help="POVM JSON file")
-    p_tw.add_argument("--samples", type=_at_least(2), default=10_000)
-    p_tw.add_argument("--states", type=_at_least(1), default=3, help="number of random test states")
-    _add_common(p_tw)
-    p_tw.set_defaults(func=cmd_twirl_check)
-
+    every = command not in {name for name, *_ in commands}
+    for name, text, handler, add_args in commands:
+        if every or name == command:
+            p = sub.add_parser(name, help=text)
+            add_args(p)
+            p.set_defaults(func=handler)
+        else:  # never parsed with: a bare entry, without even a -h
+            sub.add_parser(name, help=text, add_help=False)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

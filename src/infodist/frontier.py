@@ -100,8 +100,11 @@ def covariance_check(
 def twirl_depolarizing_p(povm: POVM) -> float:
     """Mixing probability of the depolarizing channel obtained by Haar
     twirling the square-root instrument: p* = (1 - F_e) d^2 / (d^2 - 1)
-    with F_e = sum_b (tr sqrt F_b)^2 / d^2."""
+    with F_e = sum_b (tr sqrt F_b)^2 / d^2. ValueError for d < 2, where
+    every channel is depolarizing and p* is undefined."""
     d = povm.dim
+    if d < 2:
+        raise ValueError(f"the twirl needs dimension at least 2, got {d}")
     f_e = sum(float(np.trace(mat_sqrt(e)).real) ** 2 for e in povm.effects) / d**2
     return (1.0 - f_e) * d**2 / (d**2 - 1)
 

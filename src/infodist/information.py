@@ -98,6 +98,10 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
 
 
+# complex entries per row block that info_uniform_mc scores (512 kB): flat memory in n_samples
+_BLOCK_ENTRIES = 2**15
+
+
 def _outcome_probabilities(povm: POVM, states: np.ndarray) -> np.ndarray:
     """p(b|psi) = <psi|F_b|psi> for each state row; shape (n, outcomes).
 
@@ -120,7 +124,11 @@ def info_uniform_mc(povm: POVM, n_samples: int, rng: np.random.Generator) -> Inf
     d = povm.dim
     p_b = np.asarray([np.trace(e).real / d for e in povm.effects])
     h_b = float(_entropy_rows(p_b[None, :])[0])
-    cond = _entropy_rows(_outcome_probabilities(povm, haar_states(d, n_samples, rng)))
+    states = haar_states(d, n_samples, rng)
+    rows = max(1, _BLOCK_ENTRIES // d)
+    cond = np.empty(n_samples)
+    for lo in range(0, n_samples, rows):
+        cond[lo : lo + rows] = _entropy_rows(_outcome_probabilities(povm, states[lo : lo + rows]))
     h_cond, stderr = map(float, mean_stderr(cond))
     return InfoReport(h_b - h_cond, h_b, h_cond, "monte-carlo", stderr, n_samples)
 

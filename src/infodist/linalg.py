@@ -83,10 +83,22 @@ def gen_inv_sqrt(p: np.ndarray) -> np.ndarray:
     return (v * inv) @ dagger(v)
 
 
+# complex entries per row block that haar_states normalises (512 kB): flat memory in n
+_BLOCK_ENTRIES = 2**15
+
+
 def haar_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` independent Haar-random pure states, shape (n, d)."""
-    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    """``n`` independent Haar-random pure states, shape (n, d): all real
+    parts are drawn, then all imaginary parts, and each row is normalised
+    in place, one row block at a time."""
+    z = np.empty((n, d), complex)
+    z.real = rng.standard_normal((n, d))
+    z.imag = rng.standard_normal((n, d))
+    rows = max(1, _BLOCK_ENTRIES // max(1, d))
+    for lo in range(0, n, rows):
+        block = z[lo : lo + rows]
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+    return z
 
 
 def _rephased_qr(z: np.ndarray) -> np.ndarray:

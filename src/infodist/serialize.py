@@ -39,8 +39,16 @@ def matrix_to_json(a: np.ndarray) -> dict:
     }
 
 
+def _size(value) -> int:
+    """A size read from JSON as an int: ValueError for a fraction, an
+    infinity (json reads 1e400 as inf) or a NaN."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"sizes must be whole numbers, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _size(obj["rows"]), _size(obj["cols"])
     data = obj["data"]
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
@@ -67,7 +75,7 @@ def povm_to_json(povm: POVM) -> dict:
 def povm_from_json(obj: dict) -> POVM:
     effects = tuple(matrix_from_json(e) for e in obj["effects"])
     labels = tuple(obj["labels"]) if "labels" in obj and obj["labels"] is not None else None
-    return POVM(int(obj["dim"]), effects, labels)
+    return POVM(_size(obj["dim"]), effects, labels)
 
 
 def mubset_to_json(mub: MubSet, p: int | None = None, n: int | None = None) -> dict:
@@ -80,7 +88,7 @@ def mubset_to_json(mub: MubSet, p: int | None = None, n: int | None = None) -> d
 
 
 def mubset_from_json(obj: dict) -> MubSet:
-    return MubSet(int(obj["d"]), tuple(matrix_from_json(b) for b in obj["bases"]))
+    return MubSet(_size(obj["d"]), tuple(matrix_from_json(b) for b in obj["bases"]))
 
 
 def report_to_json(report: DisturbanceReport | InfoReport) -> dict:

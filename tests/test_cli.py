@@ -365,6 +365,35 @@ def test_twirl_check_nan_ratio_fails(qubit_basis_file, capsys, monkeypatch):
     assert report["passed"] is False and np.isnan(report["worst_ratio_of_5stderr"])
 
 
+def test_twirl_check_refuses_dimension_one(tmp_path, capsys):
+    # p* divides by d^2 - 1: a one-level POVM once ended in a ZeroDivisionError traceback
+    path = tmp_path / "one.json"
+    path.write_text(serialize.dumps(serialize.povm_to_json(qd.POVM(1, (np.eye(1, dtype=complex),)))))
+    assert main(["twirl-check", "--povm", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("validation failure: ") and "at least 2, got 1" in captured.err
+
+
+@pytest.mark.parametrize("size", ["1e400", "2.5"])
+@pytest.mark.parametrize(
+    "command, key",
+    [("design-check", "rows"), ("design-check", "cols")]
+    + [(command, key) for command in ("info", "disturbance", "twirl-check") for key in ("rows", "cols", "dim")],
+)
+def test_size_that_is_not_a_whole_number_one_line_message(command, key, size, tmp_path, capsys):
+    # json reads 1e400 as inf: int() raised OverflowError, a traceback; 2.5 was read as 2
+    if command == "design-check":
+        text, flag, rc = serialize.dumps([serialize.matrix_to_json(np.eye(2))]), "--in", 2
+    else:
+        text, flag, rc = serialize.dumps(serialize.povm_to_json(qd.basis_povm(2))), "--povm", 1
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace(f'"{key}": 2', f'"{key}": {size}', 1))
+    assert main([command, flag, str(path)]) == rc
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "whole numbers" in captured.err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["disturbance"])  # missing --povm

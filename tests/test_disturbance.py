@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import infodist as qd
+from infodist import disturbance
 from conftest import induced_effects
 from infodist.errors import DimMismatchError, NotPositiveError
 
@@ -82,6 +85,31 @@ def test_avg_fidelity_mc_identity_and_basis():
 
     rep = qd.avg_fidelity_mc(qd.sqrt_instrument(qd.basis_povm(2)), 100_000, rng)
     assert abs(rep.avg_fidelity - 2.0 / 3.0) < 5 * rep.stderr
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_avg_fidelity_mc_bit_identical_to_one_shot_scoring(d):
+    # every state scored at once, as before the row blocks: below one block, and over three and a ragged part
+    inst = qd.sqrt_instrument(qd.random_povm(d, d + 1, np.random.default_rng(d)))
+    rows = disturbance._BLOCK_ENTRIES // d
+    for n in (rows - 1, 3 * rows + 5):
+        report = qd.avg_fidelity_mc(inst, n, np.random.default_rng(n))
+        states = qd.haar_states(d, n, np.random.default_rng(n))
+        mean, stderr = qd.mean_stderr(disturbance._branch_overlap_samples(inst, states))
+        got = np.array([report.avg_fidelity, report.stderr])
+        assert np.array_equal(got.view(np.int64), np.array([mean, stderr]).view(np.int64)), n
+
+
+def test_avg_fidelity_mc_memory_is_the_states_and_one_draw():
+    n, d = 100_000, 4
+    inst = qd.sqrt_instrument(qd.random_povm(d, 5, np.random.default_rng(58)))
+    tracemalloc.start()
+    try:
+        qd.avg_fidelity_mc(inst, n, np.random.default_rng(59))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * d * 16  # the states (6.4 MB) and the real parts they are drawn through
 
 
 def test_avg_fidelity_mc_matches_exact_for_reset():

@@ -267,6 +267,12 @@ def test_twirl_trivial_povm_is_identity_channel():
     assert np.abs(out - rho).max() < 1e-12
 
 
+def test_twirl_depolarizing_p_refuses_dimension_one():
+    # p* = (1 - F_e) d^2 / (d^2 - 1) once divided by zero at d = 1
+    with pytest.raises(ValueError, match="at least 2, got 1"):
+        qd.twirl_depolarizing_p(qd.POVM(1, (np.eye(1, dtype=complex),)))
+
+
 def test_twirl_qubit_basis_depolarizes():
     rng = np.random.default_rng(74)
     basis = qd.basis_povm(2)

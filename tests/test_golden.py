@@ -17,7 +17,7 @@ import pytest
 
 import infodist as qd
 from infodist import serialize
-from infodist.cli import main
+from infodist.cli import build_parser, main
 
 GOLDEN = {
     "mub": "6758aedce72bade9ba41bb71e878a41149054f1b93c8b7965ddb8620716820af",
@@ -37,12 +37,8 @@ def _write_povm(path, povm):
     return str(path)
 
 
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    """Digest of every golden run, by name."""
-    work = tmp_path_factory.mktemp("golden")
-    trine = _write_povm(work / "trine.json", qd.trine_povm())
-    rand3 = _write_povm(work / "rand3.json", qd.random_povm(3, 4, np.random.default_rng(2024)))
+def golden_argvs(trine, rand3, work):
+    """The argv of every golden run but design-check, by name; each writes to ``work / name``."""
     runs = {
         "mub": ["mub", "--p", "3", "--n", "2"],
         "info-bits": ["info", "--povm", trine, "--samples", "2000", "--seed", "1", "--bits"],
@@ -53,14 +49,27 @@ def outputs(tmp_path_factory):
     for method in ("exact", "mc", "design"):
         runs[f"disturbance-{method}"] = ["disturbance", "--povm", rand3, "--method", method,
                                          "--samples", "2000", "--seed", "4"]  # fmt: skip
+    return {name: [*argv, "--out", str(work / name)] for name, argv in runs.items()}
+
+
+# design-check prints its verdict to stdout rather than to --out
+DESIGN_CHECK_ARGV = ["design-check", "--trials", "20", "--seed", "5", "--in"]
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Digest of every golden run, by name."""
+    work = tmp_path_factory.mktemp("golden")
+    trine = _write_povm(work / "trine.json", qd.trine_povm())
+    rand3 = _write_povm(work / "rand3.json", qd.random_povm(3, 4, np.random.default_rng(2024)))
+    runs = golden_argvs(trine, rand3, work)
     for name, argv in runs.items():
-        assert main([*argv, "--out", str(work / name)]) == 0, name
+        assert main(argv) == 0, name
     digests = {name: hashlib.sha256((work / name).read_bytes()).hexdigest() for name in [*runs, "frontier-json"]}
 
-    # design-check prints its verdict to stdout rather than to --out
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert main(["design-check", "--in", str(work / "mub"), "--trials", "20", "--seed", "5"]) == 0
+        assert main([*DESIGN_CHECK_ARGV, str(work / "mub")]) == 0
     digests["design-check"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     return digests
 
@@ -68,3 +77,10 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output(name, outputs):
     assert outputs[name] == GOLDEN[name]
+
+
+def test_golden_argvs_parse_the_same_with_only_their_subcommand_built(tmp_path):
+    argvs = [*golden_argvs("trine.json", "rand3.json", tmp_path).values(), [*DESIGN_CHECK_ARGV, "mub"]]
+    assert len(argvs) == len(GOLDEN) - 1  # frontier-json is a second output of frontier-csv's run
+    for argv in argvs:
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv), argv

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import infodist as qd
+from infodist import information
 from conftest import haar_info
 from infodist.errors import WeightError
 
@@ -79,6 +82,33 @@ def test_info_uniform_mc_random_finegrained_povms():
         povm = qd.random_povm(d, 2 * d, rng, rank=1)
         report = qd.info_uniform_mc(povm, 60_000, rng)
         assert abs(report.mutual_info - qd.info_finegrained_exact(d)) < 5 * report.stderr
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_info_uniform_mc_bit_identical_to_one_shot_scoring(d):
+    # every state scored at once, as before the row blocks: below one block, and over three and a ragged part
+    povm = qd.random_povm(d, d + 1, np.random.default_rng(d))
+    rows = information._BLOCK_ENTRIES // d
+    for n in (rows - 1, 3 * rows + 5):
+        report = qd.info_uniform_mc(povm, n, np.random.default_rng(n))
+        states = qd.haar_states(d, n, np.random.default_rng(n))
+        mean, stderr = qd.mean_stderr(information._entropy_rows(information._outcome_probabilities(povm, states)))
+        got = np.array([report.h_b_given_psi, report.stderr, report.mutual_info])
+        expected = np.array([mean, stderr, report.h_b - mean])
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n
+
+
+def test_info_uniform_mc_memory_is_the_states_and_one_draw():
+    # the one-shot scoring held 30 MB here: per-effect (n, d) products, then (n, outcomes) arrays
+    n, d = 100_000, 4
+    povm = qd.random_povm(d, 5, np.random.default_rng(56))
+    tracemalloc.start()
+    try:
+        qd.info_uniform_mc(povm, n, np.random.default_rng(57))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * d * 16  # the states (6.4 MB) and the real parts they are drawn through
 
 
 def test_info_report_units():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import infodist as qd
-from infodist import serialize
+from infodist import linalg, serialize
 from infodist.cli import main
 from infodist.errors import DimMismatchError, NonHermitianError, NonSquareError, NotPositiveError, WeightError
 
@@ -151,6 +151,18 @@ def test_haar_state_normalized_and_d1():
     assert abs(abs(psi[0]) - 1.0) < 1e-12
     batch = qd.haar_states(6, 100, rng)
     assert np.abs(np.linalg.norm(batch, axis=1) - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_haar_states_bit_identical_to_the_one_shot_draw(d):
+    # the form before the row-block normalisation: below one block, and over three and a ragged part
+    rows = linalg._BLOCK_ENTRIES // d
+    for n in (rows - 1, 3 * rows + 5):
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        expected = z / np.linalg.norm(z, axis=1, keepdims=True)
+        got = qd.haar_states(d, n, np.random.default_rng(n))
+        assert got.shape == (n, d) and np.array_equal(got.view(np.int64), expected.view(np.int64)), n
 
 
 def test_haar_state_second_moment():

@@ -26,6 +26,20 @@ def test_matrix_from_json_validates():
         serialize.matrix_from_json({"rows": 0, "cols": 1, "data": []})
 
 
+@pytest.mark.parametrize("size", [float("inf"), float("-inf"), float("nan"), 2.5])
+def test_sizes_must_be_whole_numbers(size):
+    # json reads 1e400 as inf, and int(inf) raised OverflowError; int(2.5) read 2
+    matrix = {"rows": 2, "cols": 1, "data": [[1.0, 0.0], [0.0, 0.0]]}
+    for obj in ({**matrix, "rows": size}, {**matrix, "cols": size}):
+        with pytest.raises(ValueError, match="whole numbers"):
+            serialize.matrix_from_json(obj)
+    with pytest.raises(ValueError, match="whole numbers"):
+        serialize.povm_from_json({"dim": size, "effects": []})
+    with pytest.raises(ValueError, match="whole numbers"):
+        serialize.mubset_from_json({"d": size, "bases": []})
+    assert serialize.matrix_from_json({**matrix, "rows": 2.0}).shape == (2, 1)
+
+
 @pytest.mark.parametrize(
     "data",
     [
