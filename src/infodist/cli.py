@@ -150,7 +150,7 @@ def cmd_info(args) -> int:
 def cmd_frontier(args) -> int:
     grid = list(np.linspace(0.0, args.d / (args.d + 1), args.grid))
     try:
-        points = frontier_curve(args.d, grid, np.random.default_rng(args.seed), samples=args.samples)
+        points = frontier_curve(args.d, grid)
     except ValueError as exc:  # a dimension over the cap
         raise ValidationFailure(str(exc)) from exc
     csv = serialize.frontier_to_csv(points)
@@ -246,14 +246,13 @@ def _info_args(p: argparse.ArgumentParser) -> None:
 def _frontier_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=_at_least(2), required=True)
     p.add_argument("--grid", type=_at_least(2), default=11, help="number of p values on [0, d/(d+1)]")
-    p.add_argument(
-        "--samples", type=_at_least(2), default=200, help="Haar states in each point's Monte Carlo re-score (JSON only)"
-    )
-    p.add_argument("--json", default=None, help="also write the JSON variant with each point's seeds and re-scores")
+    p.add_argument("--samples", type=_at_least(2), default=200, help=_IGNORED)
+    p.add_argument("--json", default=None, help="also write the JSON variant with each point's seeds")
     p.add_argument("--restarts", type=_at_least(1), default=16, help=_IGNORED)
     p.add_argument("--max-iter", dest="max_iter", type=_at_least(1), default=500, help=_IGNORED)
     p.add_argument("--allow-nonconverged", action="store_true", help=_IGNORED)
-    _add_common(p)
+    p.add_argument("--seed", type=_at_least(0), default=0, help=_IGNORED)
+    _add_common(p, seed=False)
 
 
 def _twirl_check_args(p: argparse.ArgumentParser) -> None:

@@ -33,6 +33,10 @@ FRONTIER_CAP   : largest dimension d of ``frontier_curve``; the arc's
                  concavity, on which its solve rests, is checked up to
                  d = 49, and without a cap a large d runs the process out
                  of memory (the y* scan's temporaries grow linearly in d)
+BLOCK_ENTRIES  : complex entries per row block (512 kB) in which
+                 ``haar_states`` normalises and ``info_uniform_mc`` and
+                 ``avg_fidelity_mc`` score their states, so their working
+                 memory stays flat in the sample count
 """
 
 ALGEBRAIC = 1e-10
@@ -47,3 +51,4 @@ TANGENT_REL = 1e-12
 DESIGN = 1e-13
 MUB_CAP = 49
 FRONTIER_CAP = 49
+BLOCK_ENTRIES = 2**15

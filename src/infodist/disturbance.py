@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ALGEBRAIC, PSD_SLACK, RECONSTRUCTION
+from .config import ALGEBRAIC, BLOCK_ENTRIES, PSD_SLACK, RECONSTRUCTION
 from .errors import DimMismatchError, NotPositiveError
 from .linalg import dagger, haar_states, mat_sqrt, mean_stderr, outer, require_square
 from .measurement import POVM, Instrument, apply_channel, isometry_kraus
@@ -71,10 +71,6 @@ def min_disturbance_uniform(povm: POVM) -> DisturbanceReport:
     return _report(total / (d * (d + 1)), "exact-pi")
 
 
-# complex entries per row block that avg_fidelity_mc scores (512 kB): flat memory in n_samples
-_BLOCK_ENTRIES = 2**15
-
-
 def _branch_overlap_samples(inst: Instrument, states: np.ndarray) -> np.ndarray:
     """sum_bi |<psi|A_bi|psi>|^2 for each row state in ``states``.
 
@@ -93,7 +89,7 @@ def _branch_overlap_samples(inst: Instrument, states: np.ndarray) -> np.ndarray:
 def avg_fidelity_mc(inst: Instrument, n_samples: int, rng: np.random.Generator) -> DisturbanceReport:
     """Monte Carlo estimate of the Haar-average fidelity with its stderr."""
     states = haar_states(inst.dim, n_samples, rng)
-    rows = max(1, _BLOCK_ENTRIES // inst.dim)
+    rows = max(1, BLOCK_ENTRIES // inst.dim)
     vals = np.empty(n_samples)
     for lo in range(0, n_samples, rows):
         vals[lo : lo + rows] = _branch_overlap_samples(inst, states[lo : lo + rows])

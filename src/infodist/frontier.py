@@ -32,8 +32,7 @@ the flat end.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,26 +206,16 @@ def _seed_info(d: int, y: float, i_max: float) -> float:
     return float(haar_xlogx(_family(d, y)[0]))
 
 
-def _rescore(spectra: np.ndarray, weights: np.ndarray, samples: int, rng: np.random.Generator):
-    """Monte Carlo estimate of sum_k m_k E_psi[q_k ln q_k] over Haar states, with its stderr.
-    Only the squared moduli |psi_i|^2 enter q; they are uniform on the simplex, drawn as
-    normalized standard exponentials."""
-    moduli = rng.standard_exponential((samples, spectra.shape[1]))
-    q = (moduli / moduli.sum(axis=1, keepdims=True)) @ spectra.T
-    mean, stderr = mean_stderr((q * np.log(np.where(q > 0, q, 1.0))) @ weights)
-    return float(mean), float(stderr)
-
-
 @dataclass(frozen=True)
 class FrontierPoint:
     p: float
     disturbance: float
     info_lower_bound: float
     line_info: float
-    optimizer_meta: dict = field(default_factory=dict)
+    optimizer_meta: dict
 
 
-def frontier_curve(d: int, p_grid: list[float], rng: np.random.Generator, samples: int = 200) -> list[FrontierPoint]:
+def frontier_curve(d: int, p_grid: list[float]) -> list[FrontierPoint]:
     """Information-disturbance frontier of the uniform (Haar) ensemble.
 
     For each mixing probability p the disturbance is exactly p(d-1)/d and
@@ -235,16 +224,11 @@ def frontier_curve(d: int, p_grid: list[float], rng: np.random.Generator, sample
     p < p* = (d^2 - phi(y*)) / (d^2 - 1), the arc beyond. d may be at most
     ``FRONTIER_CAP``, and p may lie ``GRID_SLACK`` outside [0, d/(d+1)], in
     which case it is solved at the end. Each value is attained by the at
-    most two seeds recorded in its ``optimizer_meta``, which are re-scored
-    by Monte Carlo over ``samples`` Haar states, one ``rng`` stream per
-    point, a check that does not enter the reported value. Warnings raised while solving a point are recorded
-    in its metadata and raised again. ``line_info`` is the straight-line
-    candidate at the same disturbance: the flagged mix of doing nothing and
-    the basis measurement, with basis weight p(d+1)/d, carries that fraction
-    of I_max.
+    most two seeds listed, with their weights and spectra, in its
+    ``optimizer_meta``. ``line_info`` is the straight-line candidate at the
+    same disturbance: the flagged mix of doing nothing and the basis
+    measurement, with basis weight p(d+1)/d, carries that fraction of I_max.
     """
-    if samples < 2:  # the re-score's standard error needs two; fail before any solve
-        raise ValueError(f"the re-score needs samples >= 2, got {samples!r}")
     if d > FRONTIER_CAP:
         raise ValueError(f"dimension {d} exceeds the configured cap {FRONTIER_CAP}")
     p_max = d / (d + 1)
@@ -258,26 +242,16 @@ def frontier_curve(d: int, p_grid: list[float], rng: np.random.Generator, sample
     j_star = _seed_info(d, y_star, i_max)
 
     points = []
-    for p, stream in zip(p_grid, rng.spawn(len(p_grid))):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            q = min(max(p, 0.0), p_max)
-            if q < p_star:  # the flagged mix of the flat spectrum and nu(y*)
-                w = q / p_star
-                seeds = [(1.0 - w, 1.0, 0.0), (w, y_star, j_star)] if w > 0 else [(1.0, 1.0, 0.0)]
-            else:
-                y = _arc_point(d, q, p_max)
-                seeds = [(1.0, y, _seed_info(d, y, i_max))]
-            info = sum(m * j for m, _, j in seeds)
-        for warning in caught:
-            warnings.warn(warning.message, stacklevel=2)
+    for p in p_grid:
+        q = min(max(p, 0.0), p_max)
+        if q < p_star:  # the flagged mix of the flat spectrum and nu(y*)
+            w = q / p_star
+            seeds = [(1.0 - w, 1.0, 0.0), (w, y_star, j_star)] if w > 0 else [(1.0, 1.0, 0.0)]
+        else:
+            y = _arc_point(d, q, p_max)
+            seeds = [(1.0, y, _seed_info(d, y, i_max))]
+        info = sum(m * j for m, _, j in seeds)
         spectra = _family(d, [y for _, y, _ in seeds])[0]
-        weights = np.array([m for m, _, _ in seeds])
-        mc_info, mc_stderr = _rescore(spectra, weights, samples, stream)
-        meta = {
-            "rescore": {"info": mc_info, "stderr": mc_stderr, "samples": samples},
-            "seeds": [{"weight": m, "spectrum": nu.tolist()} for m, nu in zip(weights.tolist(), spectra)],
-            "warnings": [str(warning.message) for warning in caught],
-        }
+        meta = {"seeds": [{"weight": m, "spectrum": nu.tolist()} for (m, _, _), nu in zip(seeds, spectra)]}
         points.append(FrontierPoint(p, p * (d - 1) / d, info, i_max * p * (d + 1) / d, meta))
     return points

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import BLOCK_ENTRIES
 from .linalg import haar_states, mean_stderr, validate_distribution
 from .measurement import POVM
 
@@ -98,10 +99,6 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
 
 
-# complex entries per row block that info_uniform_mc scores (512 kB): flat memory in n_samples
-_BLOCK_ENTRIES = 2**15
-
-
 def _outcome_probabilities(povm: POVM, states: np.ndarray) -> np.ndarray:
     """p(b|psi) = <psi|F_b|psi> for each state row; shape (n, outcomes).
 
@@ -125,7 +122,7 @@ def info_uniform_mc(povm: POVM, n_samples: int, rng: np.random.Generator) -> Inf
     p_b = np.asarray([np.trace(e).real / d for e in povm.effects])
     h_b = float(_entropy_rows(p_b[None, :])[0])
     states = haar_states(d, n_samples, rng)
-    rows = max(1, _BLOCK_ENTRIES // d)
+    rows = max(1, BLOCK_ENTRIES // d)
     cond = np.empty(n_samples)
     for lo in range(0, n_samples, rows):
         cond[lo : lo + rows] = _entropy_rows(_outcome_probabilities(povm, states[lo : lo + rows]))

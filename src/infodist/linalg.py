@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import HERM_GATE, PSD_SLACK, SUPPORT_REL, WEIGHT
+from .config import BLOCK_ENTRIES, HERM_GATE, PSD_SLACK, SUPPORT_REL, WEIGHT
 from .errors import NonHermitianError, NonSquareError, NotPositiveError, WeightError
 
 
@@ -83,10 +83,6 @@ def gen_inv_sqrt(p: np.ndarray) -> np.ndarray:
     return (v * inv) @ dagger(v)
 
 
-# complex entries per row block that haar_states normalises (512 kB): flat memory in n
-_BLOCK_ENTRIES = 2**15
-
-
 def haar_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` independent Haar-random pure states, shape (n, d): all real
     parts are drawn, then all imaginary parts, and each row is normalised
@@ -94,7 +90,7 @@ def haar_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     z = np.empty((n, d), complex)
     z.real = rng.standard_normal((n, d))
     z.imag = rng.standard_normal((n, d))
-    rows = max(1, _BLOCK_ENTRIES // max(1, d))
+    rows = max(1, BLOCK_ENTRIES // max(1, d))
     for lo in range(0, n, rows):
         block = z[lo : lo + rows]
         block /= np.linalg.norm(block, axis=1, keepdims=True)

@@ -87,11 +87,10 @@ def run_twirl(seed=2, samples=10_000, n_states=5):
     return results, payload.encode(), time.perf_counter() - t0
 
 
-def run_frontier(seed=0):
+def run_frontier():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     grid = list(np.linspace(0.0, 2.0 / 3.0, 11))
-    points = qd.frontier_curve(2, grid, rng, samples=200)
+    points = qd.frontier_curve(2, grid)
     return points, serialize.frontier_to_csv(points).encode(), time.perf_counter() - t0
 
 

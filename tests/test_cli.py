@@ -251,21 +251,30 @@ def test_frontier_command(tmp_path):
 
 
 def test_frontier_ignores_the_retired_search_flags(tmp_path):
-    # --restarts, --max-iter and --allow-nonconverged still parse, with their old bounds, and change no byte
+    # --restarts, --max-iter, --allow-nonconverged, --samples and --seed still parse, with their old
+    # bounds, and change no byte
     out = []
-    for extra in ([], ["--restarts", "3", "--max-iter", "7", "--allow-nonconverged"]):
-        csv_path, json_path = tmp_path / f"{len(extra)}.csv", tmp_path / f"{len(extra)}.json"
+    for extra in ([], ["--restarts", "3", "--max-iter", "7", "--allow-nonconverged"], ["--samples", "50", "--seed", "7"]):
+        csv_path, json_path = tmp_path / f"{len(out)}.csv", tmp_path / f"{len(out)}.json"
         argv = ["frontier", "--d", "3", "--grid", "5", *extra, "--out", str(csv_path), "--json", str(json_path)]
         assert main(argv) == 0
         out.append((csv_path.read_bytes(), json_path.read_bytes()))
-    assert out[0] == out[1]
+    assert out[0] == out[1] == out[2]
+
+
+def test_frontier_json_records_only_the_seeds(tmp_path):
+    # nothing is re-scored or captured any more: each point's metadata is its seeds alone
+    json_path = tmp_path / "c.json"
+    assert main(["frontier", "--d", "3", "--grid", "5", "--out", str(tmp_path / "c.csv"), "--json", str(json_path)]) == 0
+    points = json.loads(json_path.read_text())
+    assert len(points) == 5 and all(pt["optimizer_meta"].keys() == {"seeds"} for pt in points)
 
 
 @pytest.mark.parametrize("option", ["--restarts", "--samples", "--max-iter"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_frontier_empty_budget_exit_2(option, value, capsys):
-    # --restarts 0 once ended in a TypeError traceback, --samples 0 in a "weights" error;
-    # --samples is now the re-score size, and a standard error needs two samples
+    # --restarts 0 once ended in a TypeError traceback, --samples 0 in a "weights" error; the flags
+    # are ignored now, but keep the bounds they had (--samples sized a standard error, so needed two)
     with pytest.raises(SystemExit) as exc:
         main(["frontier", "--d", "2", "--grid", "2", option, value])
     assert exc.value.code == 2
@@ -299,21 +308,6 @@ def test_frontier_dimension_and_grid_below_two_exit_2(option, capsys):
     assert f"{option}: must be at least 2, got 1" in err and "Traceback" not in err
 
 
-def test_frontier_samples_only_size_the_rescore(tmp_path):
-    # --samples was once silently ignored at odd prime powers; now it sizes the Monte Carlo
-    # re-score in the JSON and leaves the CSV alone
-    out = {}
-    for samples in ("50", "200"):
-        csv_path, json_path = tmp_path / f"{samples}.csv", tmp_path / f"{samples}.json"
-        assert main(["frontier", "--d", "3", "--grid", "3", "--restarts", "2", "--samples", samples,
-                     "--out", str(csv_path), "--json", str(json_path)]) == 0  # fmt: skip
-        out[samples] = csv_path.read_bytes(), json.loads(json_path.read_text())
-    assert out["50"][0] == out["200"][0]
-    rescores = {k: [pt["optimizer_meta"]["rescore"] for pt in v[1]] for k, v in out.items()}
-    assert [r["samples"] for r in rescores["50"]] == [50] * 3 and [r["samples"] for r in rescores["200"]] == [200] * 3
-    assert rescores["50"][1]["info"] != rescores["200"][1]["info"]
-
-
 @pytest.mark.parametrize("d", ["2", "3"])
 def test_frontier_defaults_converge(d, tmp_path, capsys):
     # no solve can stop short any more: the default grid runs warning-free, every point in [0, I_max]
@@ -333,7 +327,7 @@ def test_frontier_json_is_strict_json(d, grid, tmp_path):
     json_path = tmp_path / "c.json"
     argv = ["frontier", "--d", str(d), "--grid", str(grid), "--out", str(tmp_path / "c.csv"), "--json", str(json_path)]
     assert main(argv) == 0
-    points = qd.frontier_curve(d, list(np.linspace(0.0, d / (d + 1), grid)), rng=np.random.default_rng(0))
+    points = qd.frontier_curve(d, list(np.linspace(0.0, d / (d + 1), grid)))
     assert json.loads(json_path.read_text(), parse_constant=_reject_constant) == serialize.frontier_to_json(points)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import infodist as qd
 from infodist import disturbance
+from infodist.config import BLOCK_ENTRIES
 from conftest import induced_effects
 from infodist.errors import DimMismatchError, NotPositiveError
 
@@ -91,7 +92,7 @@ def test_avg_fidelity_mc_identity_and_basis():
 def test_avg_fidelity_mc_bit_identical_to_one_shot_scoring(d):
     # every state scored at once, as before the row blocks: below one block, and over three and a ragged part
     inst = qd.sqrt_instrument(qd.random_povm(d, d + 1, np.random.default_rng(d)))
-    rows = disturbance._BLOCK_ENTRIES // d
+    rows = BLOCK_ENTRIES // d
     for n in (rows - 1, 3 * rows + 5):
         report = qd.avg_fidelity_mc(inst, n, np.random.default_rng(n))
         states = qd.haar_states(d, n, np.random.default_rng(n))

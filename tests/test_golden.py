@@ -28,7 +28,7 @@ GOLDEN = {
     "disturbance-design": "42728f3d2da653256cbda68258be5fa0ce43830370bb5e051a93ef3ec9a5bea7",
     "twirl-check": "1edb1a9379639339f3b9912c8ebc776940aa170d9e72699903a3283d0a742861",
     "frontier-csv": "ebc051f41d94ccb0842543ca258a54d025ed49ae1f8d04f9d30780920ed6c270",
-    "frontier-json": "d0a5a38f753ecec9cb2d9d1de4bf556d7c75c0d8ba76c17fc7a6895ed1a05302",
+    "frontier-json": "ea3f77c1e1d3ab80f2d17b0f1ea399c7086cecf3987b8b137a46a81d8934c48c",
 }
 
 

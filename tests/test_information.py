@@ -5,6 +5,7 @@ import pytest
 
 import infodist as qd
 from infodist import information
+from infodist.config import BLOCK_ENTRIES
 from conftest import haar_info
 from infodist.errors import WeightError
 
@@ -88,7 +89,7 @@ def test_info_uniform_mc_random_finegrained_povms():
 def test_info_uniform_mc_bit_identical_to_one_shot_scoring(d):
     # every state scored at once, as before the row blocks: below one block, and over three and a ragged part
     povm = qd.random_povm(d, d + 1, np.random.default_rng(d))
-    rows = information._BLOCK_ENTRIES // d
+    rows = BLOCK_ENTRIES // d
     for n in (rows - 1, 3 * rows + 5):
         report = qd.info_uniform_mc(povm, n, np.random.default_rng(n))
         states = qd.haar_states(d, n, np.random.default_rng(n))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import infodist as qd
-from infodist import linalg, serialize
+from infodist import serialize
 from infodist.cli import main
+from infodist.config import BLOCK_ENTRIES
 from infodist.errors import DimMismatchError, NonHermitianError, NonSquareError, NotPositiveError, WeightError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -156,7 +157,7 @@ def test_haar_state_normalized_and_d1():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_haar_states_bit_identical_to_the_one_shot_draw(d):
     # the form before the row-block normalisation: below one block, and over three and a ragged part
-    rows = linalg._BLOCK_ENTRIES // d
+    rows = BLOCK_ENTRIES // d
     for n in (rows - 1, 3 * rows + 5):
         rng = np.random.default_rng(n)
         z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
@@ -322,7 +323,6 @@ def test_each_gate_sits_at_its_threshold(tmp_path):
 _SAMPLERS = {
     "info_uniform_mc": lambda n, rng: qd.info_uniform_mc(qd.basis_povm(2), n, rng),
     "avg_fidelity_mc": lambda n, rng: qd.avg_fidelity_mc(qd.sqrt_instrument(qd.basis_povm(2)), n, rng),
-    "frontier_curve": lambda n, rng: qd.frontier_curve(2, [0.0, 2.0 / 3.0], rng, samples=n),
     "twirl_channel": lambda n, rng: qd.twirl_channel(qd.basis_povm(2), np.eye(2) / 2, n, rng),
 }
 

@@ -118,8 +118,8 @@ def test_report_json_fields():
 
 def test_frontier_csv_format():
     points = [
-        FrontierPoint(0.0, 0.0, 0.0, 0.0),
-        FrontierPoint(1 / 3, 1 / 6, 0.1234567890123456789, 0.1),
+        FrontierPoint(0.0, 0.0, 0.0, 0.0, {"seeds": []}),
+        FrontierPoint(1 / 3, 1 / 6, 0.1234567890123456789, 0.1, {"seeds": []}),
     ]
     text = serialize.frontier_to_csv(points)
     lines = text.split("\n")
@@ -133,7 +133,7 @@ def test_frontier_csv_format():
 
 
 def _small_frontier():
-    return serialize.frontier_to_json(qd.frontier_curve(2, [0.0, 1 / 3, 2 / 3], np.random.default_rng(5), samples=20))
+    return serialize.frontier_to_json(qd.frontier_curve(2, [0.0, 1 / 3, 2 / 3]))
 
 
 def _signed_zero_povm():

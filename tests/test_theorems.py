@@ -60,7 +60,7 @@ def test_every_povm_lies_on_or_under_the_frontier(d):
     rng = np.random.default_rng(1100 + d)
     povms = _random_povms(d, 25, rng)
     ps = [_min_disturbance(povm) * d / (d - 1) for povm in povms]
-    frontier = np.array([pt.info_lower_bound for pt in qd.frontier_curve(d, ps, rng=rng)])
+    frontier = np.array([pt.info_lower_bound for pt in qd.frontier_curve(d, ps)])
     infos = np.array([haar_info(povm) for povm in povms])
     assert np.max(infos - frontier) <= EXACT  # np.max propagates NaN
     # the rank-one POVMs (every d-th) are fine-grained: the far endpoint (d/(d+1), I_max)
