@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import sys
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .config import DESIGN, STDERR_FLOOR
+from .config import DESIGN, DISTINCT_NUMBERS, STDERR_FLOOR
 from .disturbance import avg_fidelity_design, avg_fidelity_mc, min_disturbance_uniform
 from .errors import InfodistError
 from .frontier import depolarize, frontier_curve, twirl_channel, twirl_depolarizing_p
@@ -40,30 +41,62 @@ class ValidationFailure(Exception):
     pass
 
 
-def _read_json(path: str) -> dict:
+class _Overflow(Exception):
+    """More than ``DISTINCT_NUMBERS`` number texts; not a ValueError."""
+
+
+class _Numbers(dict):
+    """float(text) by number text: each distinct text is parsed once, and its
+    occurrences share one float. Holds at most ``DISTINCT_NUMBERS`` texts."""
+
+    def __missing__(self, text: str) -> float:
+        if len(self) == DISTINCT_NUMBERS:
+            raise _Overflow
+        value = self[text] = float(text)
+        return value
+
+
+def _read_json(path: str):
+    """The JSON value in ``path``, with the values ``json.loads`` gives, bit for
+    bit. Each distinct number text is parsed once; a file with more than
+    ``DISTINCT_NUMBERS`` distinct texts is parsed again by plain
+    ``json.loads``, so the memo stays small. Callers pause the cyclic
+    collector (``_collector_paused``) until they have converted the result."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    # the parse makes one list per matrix entry, none in a cycle: the cyclic collector would only rescan them
+    try:
+        try:
+            return json.loads(text, parse_float=_Numbers().__getitem__)
+        except _Overflow:  # leave the handler, so the memo is freed before the second parse
+            pass
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer of over 4,300 digits, or deep nesting
+        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic collector, restoring its state on every path. A parse
+    makes one list per matrix entry, none in a cycle: the collector would only
+    rescan them until they are converted to arrays and dropped."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+        yield
     finally:
         if collecting:
             gc.enable()
 
 
 def _load_povm(path: str) -> POVM:
-    obj = _read_json(path)
-    try:
-        povm = serialize.povm_from_json(obj)
-    except (KeyError, TypeError, ValueError, InfodistError) as exc:
-        raise ValidationFailure(f"{path} does not encode a POVM: {exc}") from exc
+    with _collector_paused():
+        try:  # the parsed JSON, an argument only, is dropped before the collector resumes
+            povm = serialize.povm_from_json(_read_json(path))
+        except (KeyError, TypeError, ValueError, InfodistError) as exc:
+            raise ValidationFailure(f"{path} does not encode a POVM: {exc}") from exc
     diag = povm_validate(povm)
     if not diag.passed:
         raise ValidationFailure(
@@ -95,11 +128,7 @@ def cmd_mub(args) -> int:
     return 0
 
 
-def _read_vectors(path: str) -> np.ndarray:
-    """The basis vectors stored in ``path`` (a basis list, or an object with
-    'bases'), one per row. A function of its own, so the parsed JSON is
-    freed before the design check runs."""
-    obj = _read_json(path)
+def _vectors_from(obj, path: str) -> np.ndarray:
     try:
         if isinstance(obj, dict) and "bases" in obj:
             bases = [serialize.matrix_from_json(b) for b in obj["bases"]]
@@ -110,6 +139,14 @@ def _read_vectors(path: str) -> np.ndarray:
         return np.concatenate([b.T for b in bases], axis=0)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path} does not encode bases: {exc}") from exc
+
+
+def _read_vectors(path: str) -> np.ndarray:
+    """The basis vectors stored in ``path`` (a basis list, or an object with
+    'bases'), one per row. The collector stays paused until the parsed JSON
+    is converted and dropped, which happens before the design check runs."""
+    with _collector_paused():
+        return _vectors_from(_read_json(path), path)
 
 
 def cmd_design_check(args) -> int:

@@ -1,12 +1,13 @@
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import infodist as qd
 from infodist import cli, frontier, serialize
-from infodist.config import FRONTIER_CAP
+from infodist.config import DISTINCT_NUMBERS, FRONTIER_CAP
 from infodist.cli import main
 
 
@@ -15,6 +16,18 @@ def qubit_basis_file(tmp_path):
     path = tmp_path / "basis.json"
     path.write_text(serialize.dumps(serialize.povm_to_json(qd.basis_povm(2))))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def d49_files(tmp_path_factory):
+    """The d = 49 unbiased bases as ``mub`` writes them (14 distinct number
+    texts), and 50 Haar-random d = 49 bases (every number distinct)."""
+    tmp = tmp_path_factory.mktemp("d49")
+    mub, haar = tmp / "mub49.json", tmp / "haar49.json"
+    assert main(["mub", "--p", "7", "--n", "2", "--out", str(mub)]) == 0
+    unitaries = qd.haar_unitaries(49, 50, np.random.default_rng(49))
+    haar.write_text(serialize.dumps([serialize.matrix_to_json(u) for u in unitaries]))
+    return mub, haar
 
 
 def test_mub_writes_bases(tmp_path, capsys):
@@ -93,7 +106,7 @@ def test_design_check_writes_its_verdict_to_out(tmp_path, capsys):
 @pytest.mark.parametrize("collecting", [True, False])
 def test_read_json_leaves_the_collector_as_it_found_it(tmp_path, capsys, collecting):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-    good.write_text('{"a": [[1.0, 0.0]]}')
+    good.write_text('{"a": [[1.0, 0.0]]}')  # parses, but encodes neither bases nor a POVM
     bad.write_text('{"a": [')
     was = gc.isenabled()
     try:
@@ -103,10 +116,107 @@ def test_read_json_leaves_the_collector_as_it_found_it(tmp_path, capsys, collect
         with pytest.raises(cli.UsageError, match="is not valid JSON"):
             cli._read_json(str(bad))
         assert gc.isenabled() == collecting
-        assert main(["design-check", "--in", str(bad)]) == 2
-        assert gc.isenabled() == collecting
+        for argv, rc in ((["design-check", "--in", str(bad)], 2), (["design-check", "--in", str(good)], 2),
+                         (["info", "--povm", str(bad)], 2), (["info", "--povm", str(good)], 1)):  # fmt: skip
+            assert main(argv) == rc, argv
+            assert gc.isenabled() == collecting, argv
     finally:
         gc.enable() if was else gc.disable()
+
+
+def test_collector_stays_paused_while_the_parsed_json_is_converted(tmp_path, qubit_basis_file, monkeypatch):
+    mub = tmp_path / "mub3.json"
+    assert main(["mub", "--p", "3", "--out", str(mub)]) == 0
+    seen = []
+    for name in ("matrix_from_json", "povm_from_json"):
+        convert = getattr(serialize, name)
+        monkeypatch.setattr(serialize, name, lambda obj, convert=convert: seen.append(gc.isenabled()) or convert(obj))
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        assert main(["design-check", "--in", str(mub)]) == 0
+        assert main(["disturbance", "--povm", qubit_basis_file]) == 0
+        assert gc.isenabled()
+    finally:
+        gc.enable() if was else gc.disable()
+    assert len(seen) == 4 + 2 + 1 and not any(seen)  # four bases; the POVM and its two effects
+
+
+def _floats(obj, out: list):
+    """``obj`` with every float replaced by None, appended to ``out`` depth first."""
+    if isinstance(obj, float):
+        out.append(obj)
+        return None
+    if isinstance(obj, list):
+        return [_floats(x, out) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _floats(v, out) for k, v in obj.items()}
+    return obj
+
+
+def _assert_reads_as_json_loads(path):
+    got, expected = [], []
+    assert _floats(cli._read_json(str(path)), got) == _floats(json.loads(path.read_text()), expected)
+    assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
+
+
+def test_read_json_is_json_loads_bit_for_bit(tmp_path, d49_files):
+    special = tmp_path / "special.json"
+    special.write_text(
+        '{"x": [0.0, -0.0, 1e-320, 1E+2, 1e400, -1e400, NaN, Infinity, -Infinity, 0.1, 0.1, -0.0, 0.0],'
+        ' "n": [0, -0, 7, -12, 123456789012345678901234567890, 1, 1.0]}'
+    )
+    above = tmp_path / "above.json"
+    values = np.random.default_rng(3).standard_normal(DISTINCT_NUMBERS + 1).tolist()
+    above.write_text(json.dumps([values, values]))
+    for path in (*d49_files, special, above):
+        _assert_reads_as_json_loads(path)
+
+
+@pytest.mark.parametrize("distinct", [DISTINCT_NUMBERS, DISTINCT_NUMBERS + 1])
+def test_read_json_shares_repeated_numbers_up_to_the_bound(distinct, tmp_path):
+    path = tmp_path / "numbers.json"
+    values = [i + 0.5 for i in range(distinct)]
+    path.write_text(json.dumps([values, values]))
+    first, second = cli._read_json(str(path))
+    shared = sum(a is b for a, b in zip(first, second))
+    assert shared == (distinct if distinct <= DISTINCT_NUMBERS else 0)
+
+
+def test_invalid_json_message_does_not_depend_on_the_bound(tmp_path):
+    numbers = ", ".join(f"{i}.5" for i in range(DISTINCT_NUMBERS + 1))
+    for name, text in (("before", f"[[0.5, ], {numbers}]"), ("after", f"[{numbers}, ]")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        with pytest.raises(cli.UsageError) as got:
+            cli._read_json(str(path))
+        assert str(got.value) == f"{path} is not valid JSON: {expected.value}", name
+
+
+@pytest.mark.parametrize("text", ["1" * 4301, "[" * 200_000], ids=["long-integer", "deep-nesting"])
+@pytest.mark.parametrize("command", ["design-check", "info", "disturbance", "twirl-check"])
+def test_unparseable_json_one_line_message(command, text, tmp_path, capsys):
+    # json raised a plain ValueError (integers over 4,300 digits) or a RecursionError: a traceback
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    assert main([command, "--in" if command == "design-check" else "--povm", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("usage error: ") and "is not valid JSON" in captured.err
+
+
+def test_read_vectors_memory_is_bounded_by_the_file(d49_files):
+    # the parent read the mub file at 2.8x its size; an unbounded memo reads the Haar file at 5.2x
+    for path, ratio in zip(d49_files, (2.5, 3.0)):
+        tracemalloc.start()
+        try:
+            cli._read_vectors(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ratio * path.stat().st_size, path.name
 
 
 def test_design_check_ignores_trials_and_seed(tmp_path, capsys):
