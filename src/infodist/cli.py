@@ -9,13 +9,14 @@ that names no subcommand (an option, a typo, none) gets the full parser.
 All randomness is seeded (flag --seed, default 0; never the clock), so
 identical invocations produce byte-identical outputs.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.
+Exit codes: 0 success, 1 validation failure (``InfodistError``), 2 usage
+error (``UsageError``). Commands return nothing and fail by raising one of
+the two; only ``main`` maps an outcome to an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import json
 import sys
@@ -34,10 +35,6 @@ from .measurement import POVM, povm_validate, sqrt_instrument
 
 
 class UsageError(Exception):
-    pass
-
-
-class ValidationFailure(Exception):
     pass
 
 
@@ -60,8 +57,8 @@ def _read_json(path: str):
     """The JSON value in ``path``, with the values ``json.loads`` gives, bit for
     bit. Each distinct number text is parsed once; a file with more than
     ``DISTINCT_NUMBERS`` distinct texts is parsed again by plain
-    ``json.loads``, so the memo stays small. Callers pause the cyclic
-    collector (``_collector_paused``) until they have converted the result."""
+    ``json.loads``, so the memo stays small. Read files through ``_load``,
+    which pauses the cyclic collector until the result is converted."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -73,33 +70,34 @@ def _read_json(path: str):
         except _Overflow:  # leave the handler, so the memo is freed before the second parse
             pass
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an integer of over 4,300 digits, or deep nesting
+    except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer of over 4,300 digits, or deep nesting
+        raise UsageError(f"{path} is beyond what Python's JSON reader accepts: {exc}") from exc
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic collector, restoring its state on every path. A parse
-    makes one list per matrix entry, none in a cycle: the collector would only
-    rescan them until they are converted to arrays and dropped."""
+def _load(path: str, convert):
+    """``convert`` of the JSON value in ``path``, with the cyclic collector
+    paused until it returns or raises and restored on every path: a parse
+    makes one list per matrix entry, none in a cycle, which the collector
+    would only rescan until they are converted to arrays and dropped."""
     collecting = gc.isenabled()
     gc.disable()
-    try:
-        yield
+    try:  # the parsed JSON, an argument only, is dropped before the collector resumes
+        return convert(_read_json(path))
     finally:
         if collecting:
             gc.enable()
 
 
 def _load_povm(path: str) -> POVM:
-    with _collector_paused():
-        try:  # the parsed JSON, an argument only, is dropped before the collector resumes
-            povm = serialize.povm_from_json(_read_json(path))
-        except (KeyError, TypeError, ValueError, InfodistError) as exc:
-            raise ValidationFailure(f"{path} does not encode a POVM: {exc}") from exc
+    try:
+        povm = _load(path, serialize.povm_from_json)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InfodistError(f"{path} does not encode a POVM: {exc}") from exc
     diag = povm_validate(povm)
     if not diag.passed:
-        raise ValidationFailure(
+        raise InfodistError(
             f"{path} violates POVM invariants: hermiticity residual "
             f"{diag.max_hermiticity_violation:.3e}, positivity violation "
             f"{diag.max_psd_violation:.3e}, completeness residual "
@@ -119,45 +117,36 @@ def _emit(text: str, out: str | None) -> None:
         raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
-def cmd_mub(args) -> int:
-    try:
-        mub = wootters_fields_mub(args.p, args.n)
-    except ValueError as exc:  # even or non-prime p, n < 1, dimension over the cap
-        raise ValidationFailure(str(exc)) from exc
+def cmd_mub(args) -> None:
+    mub = wootters_fields_mub(args.p, args.n)
     _emit(serialize.dumps(serialize.mubset_to_json(mub, p=args.p, n=args.n)), args.out)
-    return 0
-
-
-def _vectors_from(obj, path: str) -> np.ndarray:
-    try:
-        if isinstance(obj, dict) and "bases" in obj:
-            bases = [serialize.matrix_from_json(b) for b in obj["bases"]]
-        elif isinstance(obj, list):
-            bases = [serialize.matrix_from_json(b) for b in obj]
-        else:
-            raise UsageError(f"{path}: expected a basis list or an object with 'bases'")
-        return np.concatenate([b.T for b in bases], axis=0)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path} does not encode bases: {exc}") from exc
 
 
 def _read_vectors(path: str) -> np.ndarray:
     """The basis vectors stored in ``path`` (a basis list, or an object with
-    'bases'), one per row. The collector stays paused until the parsed JSON
-    is converted and dropped, which happens before the design check runs."""
-    with _collector_paused():
-        return _vectors_from(_read_json(path), path)
+    'bases'), one per row."""
+
+    def vectors(obj) -> np.ndarray:
+        if isinstance(obj, dict) and "bases" in obj:
+            obj = obj["bases"]
+        elif not isinstance(obj, list):
+            raise UsageError(f"{path}: expected a basis list or an object with 'bases'")
+        return np.concatenate([serialize.matrix_from_json(b).T for b in obj], axis=0)
+
+    try:
+        return _load(path, vectors)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path} does not encode bases: {exc}") from exc
 
 
-def cmd_design_check(args) -> int:
+def cmd_design_check(args) -> None:
     delta = design_check(_read_vectors(args.infile))
     _emit(f"squared distance from the Haar second moment, ||D - Pi||_F^2 d(d+1)/2: {delta:.17g}\n", args.out)
     if not delta < DESIGN:  # a NaN distance fails too
-        raise ValidationFailure(f"vectors are not a 2-design (distance {delta:.3e} >= {DESIGN:.0e})")
-    return 0
+        raise InfodistError(f"vectors are not a 2-design (distance {delta:.3e} >= {DESIGN:.0e})")
 
 
-def cmd_disturbance(args) -> int:
+def cmd_disturbance(args) -> None:
     povm = _load_povm(args.povm)
     if args.method == "exact":
         report = min_disturbance_uniform(povm)
@@ -166,43 +155,34 @@ def cmd_disturbance(args) -> int:
     else:
         pp = odd_prime_power(povm.dim)
         if pp is None:
-            raise ValidationFailure(
+            raise InfodistError(
                 f"no unbiased-bases design available in dimension {povm.dim}; use --method exact or mc"
             )
         design = wootters_fields_mub(*pp).vectors()
         report = avg_fidelity_design(sqrt_instrument(povm), design)
     _emit(serialize.dumps(serialize.report_to_json(report)), args.out)
-    return 0
 
 
-def cmd_info(args) -> int:
+def cmd_info(args) -> None:
     povm = _load_povm(args.povm)
     report = info_uniform_mc(povm, args.samples, np.random.default_rng(args.seed))
     if args.bits:
         report = report.in_bits()
     _emit(serialize.dumps(serialize.report_to_json(report)), args.out)
-    return 0
 
 
-def cmd_frontier(args) -> int:
+def cmd_frontier(args) -> None:
     grid = list(np.linspace(0.0, args.d / (args.d + 1), args.grid))
-    try:
-        points = frontier_curve(args.d, grid)
-    except ValueError as exc:  # a dimension over the cap
-        raise ValidationFailure(str(exc)) from exc
+    points = frontier_curve(args.d, grid)
     csv = serialize.frontier_to_csv(points)
     if args.json is not None:  # first, so a --json that cannot be written leaves no finished-looking CSV
         _emit(serialize.dumps(serialize.frontier_to_json(points)), args.json)
     _emit(csv, args.out)
-    return 0
 
 
-def cmd_twirl_check(args) -> int:
+def cmd_twirl_check(args) -> None:
     povm = _load_povm(args.povm)
-    try:
-        p_star = twirl_depolarizing_p(povm)
-    except ValueError as exc:  # dimension 1
-        raise ValidationFailure(str(exc)) from exc
+    p_star = twirl_depolarizing_p(povm)
     rng = np.random.default_rng(args.seed)
     ratios = []
     for _ in range(args.states):
@@ -225,10 +205,9 @@ def cmd_twirl_check(args) -> int:
     }
     _emit(serialize.dumps(result), args.out)
     if not passed:
-        raise ValidationFailure(
+        raise InfodistError(
             f"twirled channel deviates from the depolarizing form by {worst:.2f}x the 5-stderr band"
         )
-    return 0
 
 
 def _at_least(low: int):
@@ -333,13 +312,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationFailure, InfodistError) as exc:
+    except InfodistError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 
 class InfodistError(ValueError):
-    """Base class for validation errors."""
+    """Base class for validation errors: every refusal that the command line
+    reports as a validation failure (exit 1) is one."""
 
 
 class NonSquareError(InfodistError):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FRONTIER_CAP, GRID_SLACK, TANGENT_REL
-from .errors import DimMismatchError
+from .errors import DimMismatchError, InfodistError
 from .information import haar_xlogx, info_finegrained_exact
 from .linalg import dagger, haar_unitaries, mat_sqrt, mean_stderr, random_density
 from .measurement import POVM, Instrument, apply_channel
@@ -99,11 +99,11 @@ def covariance_check(
 def twirl_depolarizing_p(povm: POVM) -> float:
     """Mixing probability of the depolarizing channel obtained by Haar
     twirling the square-root instrument: p* = (1 - F_e) d^2 / (d^2 - 1)
-    with F_e = sum_b (tr sqrt F_b)^2 / d^2. ValueError for d < 2, where
+    with F_e = sum_b (tr sqrt F_b)^2 / d^2. InfodistError for d < 2, where
     every channel is depolarizing and p* is undefined."""
     d = povm.dim
     if d < 2:
-        raise ValueError(f"the twirl needs dimension at least 2, got {d}")
+        raise InfodistError(f"the twirl needs dimension at least 2, got {d}")
     f_e = sum(float(np.trace(mat_sqrt(e)).real) ** 2 for e in povm.effects) / d**2
     return (1.0 - f_e) * d**2 / (d**2 - 1)
 
@@ -230,7 +230,7 @@ def frontier_curve(d: int, p_grid: list[float]) -> list[FrontierPoint]:
     measurement, with basis weight p(d+1)/d, carries that fraction of I_max.
     """
     if d > FRONTIER_CAP:
-        raise ValueError(f"dimension {d} exceeds the configured cap {FRONTIER_CAP}")
+        raise InfodistError(f"dimension {d} exceeds the configured cap {FRONTIER_CAP}")
     p_max = d / (d + 1)
     for p in p_grid:
         if not -GRID_SLACK <= p <= p_max + GRID_SLACK:

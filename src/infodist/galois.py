@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import MUB_CAP
-from .errors import DimMismatchError, EvenPrimeError
+from .errors import DimMismatchError, EvenPrimeError, InfodistError
 
 
 def is_prime(p: int) -> bool:
@@ -113,9 +113,9 @@ def find_irreducible(p: int, n: int) -> FieldSpec:
     if p == 2:
         raise EvenPrimeError("characteristic two is not supported")
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise InfodistError(f"{p} is not prime")
     if n < 1:
-        raise ValueError(f"extension degree must be at least 1, got {n}")
+        raise InfodistError(f"extension degree must be at least 1, got {n}")
     digits = _digits(p, n)
     # irreducibles of every degree exist, so the search always stops
     modulus = next(m for m in (c + [1] for c in digits.tolist()) if is_irreducible(m, p))
@@ -171,10 +171,10 @@ def wootters_fields_mub(p: int, n: int) -> MubSet:
     if p == 2:
         raise EvenPrimeError("even prime unsupported: the construction needs odd characteristic")
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise InfodistError(f"{p} is not prime")
     d = p**n
     if d > MUB_CAP:
-        raise ValueError(f"dimension {d} exceeds the configured cap {MUB_CAP}")
+        raise InfodistError(f"dimension {d} exceeds the configured cap {MUB_CAP}")
     _, s_table, t_table = _trace_tables(p, n)
     # roots of unity from exact angles, exponents reduced mod p first
     omega = np.exp(2j * np.pi * np.arange(p) / p)

@@ -40,9 +40,9 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def _size(value) -> int:
-    """A size read from JSON as an int: ValueError for a fraction, an
-    infinity (json reads 1e400 as inf) or a NaN."""
-    if isinstance(value, float) and not value.is_integer():
+    """A size read from JSON as an int: ValueError for a boolean, a fraction,
+    an infinity (json reads 1e400 as inf) or a NaN."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"sizes must be whole numbers, got {value!r}")
     return int(value)
 
@@ -55,7 +55,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} does not equal rows*cols = {rows * cols}")
     pairs = np.asarray(data)
-    if pairs.dtype.kind not in "biuf":  # strings, null and mixed entries
+    if pairs.dtype.kind not in "iuf":  # booleans, strings, null and mixed entries
         raise TypeError(f"matrix entries must be numbers, got {pairs.dtype}")
     if pairs.shape != (rows * cols, 2):
         raise ValueError("matrix entries must be [re, im] pairs")
@@ -78,13 +78,8 @@ def povm_from_json(obj: dict) -> POVM:
     return POVM(_size(obj["dim"]), effects, labels)
 
 
-def mubset_to_json(mub: MubSet, p: int | None = None, n: int | None = None) -> dict:
-    obj = {"d": mub.d, "bases": [matrix_to_json(b) for b in mub.bases]}
-    if p is not None:
-        obj["p"] = p
-    if n is not None:
-        obj["n"] = n
-    return obj
+def mubset_to_json(mub: MubSet, p: int, n: int) -> dict:
+    return {"d": mub.d, "bases": [matrix_to_json(b) for b in mub.bases], "p": p, "n": n}
 
 
 def mubset_from_json(obj: dict) -> MubSet:

@@ -269,7 +269,7 @@ def test_twirl_trivial_povm_is_identity_channel():
 
 def test_twirl_depolarizing_p_refuses_dimension_one():
     # p* = (1 - F_e) d^2 / (d^2 - 1) once divided by zero at d = 1
-    with pytest.raises(ValueError, match="at least 2, got 1"):
+    with pytest.raises(qd.InfodistError, match="at least 2, got 1"):
         qd.twirl_depolarizing_p(qd.POVM(1, (np.eye(1, dtype=complex),)))
 
 
@@ -449,7 +449,7 @@ def test_frontier_curve_qutrits_use_the_haar_ensemble():
 def test_frontier_curve_rejects_bad_grid():
     with pytest.raises(ValueError):
         qd.frontier_curve(2, [0.9])
-    with pytest.raises(ValueError, match="exceeds the configured cap"):
+    with pytest.raises(qd.InfodistError, match="exceeds the configured cap"):
         qd.frontier_curve(FRONTIER_CAP + 1, [0.5])
 
 
@@ -566,7 +566,7 @@ def test_factored_kernels_match_dense_reference(d, p):
     assert abs(report.mutual_info - info) <= 5 * report.stderr
 
 
-def test_frontier_beats_held_out_see_saw_and_rescore_agrees():
+def test_frontier_beats_d2_search_values_and_matches_its_seeds_monte_carlo():
     # the see-saw's held-out re-scores were 0.1361 at p = 1/3 and 0.1909 at p = 2/3. Each point's
     # seeds (two on the d = 3 chord), scored by Monte Carlo over Haar states, agree with it:
     # sum_k m_k E[q_k ln q_k] with q_k = sum_i nu_ki |psi_i|^2

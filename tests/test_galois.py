@@ -39,9 +39,9 @@ def test_is_irreducible_matches_root_test():
 def test_find_irreducible_rejects():
     with pytest.raises(EvenPrimeError):
         qd.find_irreducible(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(qd.InfodistError, match="9 is not prime"):
         qd.find_irreducible(9, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(qd.InfodistError, match="extension degree must be at least 1, got 0"):
         qd.find_irreducible(3, 0)
 
 
@@ -169,8 +169,10 @@ def test_mub_rejects_even_prime_and_cap():
     with pytest.raises(EvenPrimeError):
         qd.wootters_fields_mub(2, 1)
     assert MUB_CAP == 49
-    with pytest.raises(ValueError, match="exceeds the configured cap 49"):
+    with pytest.raises(qd.InfodistError, match="exceeds the configured cap 49"):
         qd.wootters_fields_mub(11, 2)  # 121 > the cap
+    with pytest.raises(qd.InfodistError, match="9 is not prime"):
+        qd.wootters_fields_mub(9, 1)
     qd.wootters_fields_mub(7, 2)  # at the cap is allowed
 
 

@@ -55,9 +55,10 @@ def test_sizes_must_be_whole_numbers(size):
         [[1.0, 0.0], [float("inf"), 0.0]],
         [[1.0, 0.0], [0.0, float("-inf")]],
         "ab",
+        [[True, False], [False, True]],
     ],
     ids=["string", "string-imag", "null", "null-imag", "triple", "single", "ragged", "scalar", "nested",
-         "inf", "neg-inf", "text"],  # fmt: skip
+         "inf", "neg-inf", "text", "bool"],  # fmt: skip
 )
 def test_matrix_from_json_refuses_non_pairs(data):
     with pytest.raises((ValueError, TypeError)):
