@@ -3,16 +3,7 @@ pure-state ensemble: minimal-disturbance instruments, outcome-state mutual
 information, mutually unbiased bases as projective 2-designs, and the
 depolarizing-channel frontier construction."""
 
-from .errors import (
-    BadPartitionError,
-    DimMismatchError,
-    EvenPrimeError,
-    InfodistError,
-    NonHermitianError,
-    NonSquareError,
-    NotPositiveError,
-    WeightError,
-)
+from .errors import InfodistError
 from .linalg import (
     dagger,
     gen_inv_sqrt,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ALGEBRAIC, BLOCK_ENTRIES, PSD_SLACK, RECONSTRUCTION
-from .errors import DimMismatchError, NotPositiveError
+from .errors import InfodistError
 from .linalg import dagger, haar_states, mat_sqrt, mean_stderr, outer, require_square
 from .measurement import POVM, Instrument, apply_channel, isometry_kraus
 
@@ -26,7 +26,7 @@ def pair_moment(a: np.ndarray, b: np.ndarray) -> complex:
     """
     d = require_square(a)
     if b.shape != a.shape:
-        raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+        raise InfodistError(f"shape mismatch {a.shape} vs {b.shape}")
     return complex((np.trace(a) * np.trace(b) + np.trace(a @ b)) / (d * (d + 1)))
 
 
@@ -117,7 +117,7 @@ def entanglement_fidelity(rho: np.ndarray, inst: Instrument) -> float:
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (inst.dim, inst.dim):
-        raise DimMismatchError(f"state shape {rho.shape} does not match dim {inst.dim}")
+        raise InfodistError(f"state shape {rho.shape} does not match dim {inst.dim}")
     return float(sum(abs(np.trace(a @ rho)) ** 2 for a in inst.kraus_ops()))
 
 
@@ -132,7 +132,7 @@ def superadditivity_margin(p1: np.ndarray, p2: np.ndarray, psi: np.ndarray) -> f
     w1 = np.linalg.eigvalsh((p1 + dagger(p1)) / 2)
     w2 = np.linalg.eigvalsh((p2 + dagger(p2)) / 2)
     if w1[0] < -PSD_SLACK or w2[0] < -PSD_SLACK:
-        raise NotPositiveError("both operators must be positive semidefinite")
+        raise InfodistError("both operators must be positive semidefinite")
     root = mat_sqrt(p1 @ p1 + p2 @ p2)
     rhs = float(np.vdot(psi, root @ psi).real) ** 2
     lhs = float(np.vdot(psi, p1 @ psi).real) ** 2 + float(np.vdot(psi, p2 @ psi).real) ** 2
@@ -173,10 +173,10 @@ def entfid_bound_check(povm: POVM, m: np.ndarray) -> tuple[float, float]:
     """
     blocks = isometry_kraus(np.asarray(m, dtype=complex))
     if blocks[0].shape != (povm.dim, povm.dim):
-        raise DimMismatchError(f"isometry blocks {blocks[0].shape} do not match dim {povm.dim}")
+        raise InfodistError(f"isometry blocks {blocks[0].shape} do not match dim {povm.dim}")
     gram = sum(dagger(b) @ b for b in blocks)
     if not np.abs(gram - np.eye(povm.dim)).max() <= ALGEBRAIC:  # a NaN entry fails too
-        raise DimMismatchError("blocks of m do not form a trace-preserving channel")
+        raise InfodistError("blocks of m do not form a trace-preserving channel")
     roots = [mat_sqrt(e) for e in povm.effects]
     multi = Instrument(povm.dim, tuple(tuple(b @ r for b in blocks) for r in roots))
     eye_d = np.eye(povm.dim) / povm.dim
@@ -189,7 +189,7 @@ def one_term_instrument(povm: POVM, unitaries: list[np.ndarray]) -> Instrument:
     """Instrument with branches U_b sqrt(F_b): the general one-term dynamics
     compatible with a POVM."""
     if len(unitaries) != len(povm.effects):
-        raise DimMismatchError("need one unitary per outcome")
+        raise InfodistError("need one unitary per outcome")
     return Instrument(
         povm.dim,
         tuple((np.asarray(u, dtype=complex) @ mat_sqrt(e),) for u, e in zip(unitaries, povm.effects)),

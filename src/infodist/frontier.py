@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FRONTIER_CAP, GRID_SLACK, TANGENT_REL
-from .errors import DimMismatchError, InfodistError
+from .errors import InfodistError
 from .information import haar_xlogx, info_finegrained_exact
-from .linalg import dagger, haar_unitaries, mat_sqrt, mean_stderr, random_density
+from .linalg import dagger, haar_unitaries, mat_sqrt, mean_stderr
 from .measurement import POVM, Instrument, apply_channel
 
 
@@ -66,34 +66,14 @@ def depolarizing_instrument(d: int, p: float) -> Instrument:
     return Instrument(d, (tuple(ops),))
 
 
-def covariance_check(
-    inst: Instrument,
-    w: np.ndarray | None = None,
-    rho: np.ndarray | None = None,
-    samples: int = 0,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max residual of W† A(W rho W†) W = A(rho) over the given and/or
-    sampled (W, rho) pairs, of which there must be at least one. Zero
-    exactly for depolarizing channels."""
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    if w is not None or rho is not None:
-        if w is None or rho is None:
-            raise DimMismatchError("provide both a unitary and a state, or neither")
-        pairs.append((np.asarray(w, dtype=complex), np.asarray(rho, dtype=complex)))
-    if samples:
-        if rng is None:
-            raise ValueError("sampling pairs requires an rng")
-        for _ in range(samples):
-            state = random_density(inst.dim, rng)  # drawn before its unitary
-            pairs.append((haar_unitaries(inst.dim, 1, rng)[0], state))
-    if not pairs:
-        raise ValueError("nothing to check: give a unitary and a state, or samples >= 1")
-    residuals = []
-    for u, state in pairs:
-        rotated = dagger(u) @ apply_channel(inst, u @ state @ dagger(u)) @ u
-        residuals.append(np.abs(rotated - apply_channel(inst, state)).max())
-    return float(np.max(residuals))  # NaN propagates, unlike Python's max
+def covariance_check(inst: Instrument, w: np.ndarray, rho: np.ndarray) -> float:
+    """Max-entry residual of W† A(W rho W†) W = A(rho) for one unitary W and
+    one state rho; NaN if either side has a NaN entry. In exact arithmetic
+    it vanishes for every pair iff A is depolarizing."""
+    w = np.asarray(w, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    rotated = dagger(w) @ apply_channel(inst, w @ rho @ dagger(w)) @ w
+    return float(np.abs(rotated - apply_channel(inst, rho)).max())  # NaN propagates
 
 
 def twirl_depolarizing_p(povm: POVM) -> float:

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import MUB_CAP
-from .errors import DimMismatchError, EvenPrimeError, InfodistError
+from .errors import InfodistError
 
 
 def is_prime(p: int) -> bool:
@@ -72,10 +72,6 @@ class FieldSpec:
     mul: np.ndarray
     trace: np.ndarray
 
-    @property
-    def order(self) -> int:
-        return self.p**self.n
-
 
 def _digits(p: int, n: int) -> np.ndarray:
     """Coefficient vectors of all p^n elements, shape (p^n, n)."""
@@ -111,7 +107,7 @@ def find_irreducible(p: int, n: int) -> FieldSpec:
     (constant coefficient varying fastest), with its field tables.
     Deterministic."""
     if p == 2:
-        raise EvenPrimeError("characteristic two is not supported")
+        raise InfodistError("characteristic two is not supported")
     if not is_prime(p):
         raise InfodistError(f"{p} is not prime")
     if n < 1:
@@ -169,7 +165,7 @@ def wootters_fields_mub(p: int, n: int) -> MubSet:
     Dimensions above ``config.MUB_CAP`` are refused.
     """
     if p == 2:
-        raise EvenPrimeError("even prime unsupported: the construction needs odd characteristic")
+        raise InfodistError("even prime unsupported: the construction needs odd characteristic")
     if not is_prime(p):
         raise InfodistError(f"{p} is not prime")
     d = p**n
@@ -217,7 +213,7 @@ def design_operator(vectors: np.ndarray) -> np.ndarray:
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if vectors.shape[0] == 0:
-        raise DimMismatchError("need at least one vector")
+        raise InfodistError("need at least one vector")
     w = np.einsum("ma,mb->mab", vectors, vectors).reshape(vectors.shape[0], -1)
     return (w.T @ w.conj()) / vectors.shape[0]
 
@@ -243,7 +239,7 @@ def design_check(vectors: np.ndarray) -> float:
     vectors = np.atleast_2d(np.ascontiguousarray(vectors, dtype=complex))
     n, d = vectors.shape
     if n == 0:
-        raise DimMismatchError("need at least one vector")
+        raise InfodistError("need at least one vector")
     rows = max(1, _GRAM_ENTRIES // n)
     sums = []
     for lo in range(0, n, rows):

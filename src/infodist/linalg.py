@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import BLOCK_ENTRIES, HERM_GATE, PSD_SLACK, SUPPORT_REL, WEIGHT
-from .errors import NonHermitianError, NonSquareError, NotPositiveError, WeightError
+from .errors import InfodistError
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -23,7 +23,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def require_square(a: np.ndarray) -> int:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
+        raise InfodistError(f"expected a square matrix, got shape {a.shape}")
     return a.shape[0]
 
 
@@ -32,7 +32,7 @@ def _gated_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     require_square(h)
     asym = np.abs(h - dagger(h)).max() if h.size else 0.0
     if not asym <= HERM_GATE:  # a NaN entry fails too
-        raise NonHermitianError(f"matrix is not Hermitian: max |H - H^dag| = {asym:.3e}")
+        raise InfodistError(f"matrix is not Hermitian: max |H - H^dag| = {asym:.3e}")
     return np.linalg.eigh((h + dagger(h)) / 2)
 
 
@@ -55,12 +55,12 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _psd_support(w: np.ndarray) -> np.ndarray:
     """Null-space cleanup of the ascending spectrum of a PSD matrix.
 
-    Eigenvalues below -PSD_SLACK raise NotPositiveError. Eigenvalues below
+    Eigenvalues below -PSD_SLACK raise InfodistError. Eigenvalues below
     the support cutoff d * max(w) * SUPPORT_REL are zeroed, which
     keeps square roots of rank-deficient operators free of sqrt(eps) noise.
     """
     if w.size and w[0] < -PSD_SLACK:
-        raise NotPositiveError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
+        raise InfodistError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
     cutoff = max(0.0, len(w) * (w[-1] if w.size else 0.0) * SUPPORT_REL)
     return np.where(w > cutoff, w, 0.0)
 
@@ -125,19 +125,17 @@ def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
     return g / np.trace(g).real
 
 
-def outer(psi: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
-    """|psi><phi| (|psi><psi| when phi is omitted)."""
-    if phi is None:
-        phi = psi
-    return np.outer(psi, phi.conj())
+def outer(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi|."""
+    return np.outer(psi, psi.conj())
 
 
 def validate_distribution(weights) -> np.ndarray:
     """The weights as a float array, if they are nonnegative and sum to one
-    within ``config.WEIGHT``; WeightError otherwise."""
+    within ``config.WEIGHT``; InfodistError otherwise."""
     w = np.asarray(weights, dtype=float)
     if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= WEIGHT):  # a NaN weight fails too
-        raise WeightError(f"weights must be nonnegative and sum to 1, got sum {float(w.sum())!r}")
+        raise InfodistError(f"weights must be nonnegative and sum to 1, got sum {float(w.sum())!r}")
     return w
 
 

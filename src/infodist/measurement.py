@@ -1,10 +1,11 @@
 """POVMs and measurement instruments.
 
-A POVM is an ordered set of positive effects summing to the identity. An
-instrument assigns to each outcome a list of Kraus operators; the b-th
-conditional operation is rho -> sum_i A_bi rho A_bi† and the effects it
-induces are F_b = sum_i A_bi† A_bi. Both objects are immutable containers
-of complex numpy arrays.
+A POVM is an ordered set of positive effects summing to the identity; an
+outcome is named only by its index b. An instrument assigns to each
+outcome a list of Kraus operators; the b-th conditional operation is
+rho -> sum_i A_bi rho A_bi† and the effects it induces are
+F_b = sum_i A_bi† A_bi. Both objects are immutable containers of complex
+numpy arrays, and every refusal of invalid input is an InfodistError.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ALGEBRAIC, PSD_SLACK, RECONSTRUCTION
-from .errors import BadPartitionError, DimMismatchError, WeightError
+from .errors import InfodistError
 from .linalg import dagger, gen_inv_sqrt, herm_eig, mat_sqrt, require_square, validate_distribution
 
 
@@ -22,23 +23,15 @@ from .linalg import dagger, gen_inv_sqrt, herm_eig, mat_sqrt, require_square, va
 class POVM:
     dim: int
     effects: tuple[np.ndarray, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "effects", tuple(np.asarray(e, dtype=complex) for e in self.effects))
         for e in self.effects:
             if e.shape != (self.dim, self.dim):
-                raise DimMismatchError(f"effect shape {e.shape} does not match dim {self.dim}")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-            if len(self.labels) != len(self.effects):
-                raise DimMismatchError("labels and effects differ in length")
+                raise InfodistError(f"effect shape {e.shape} does not match dim {self.dim}")
 
     def __len__(self) -> int:
         return len(self.effects)
-
-    def label(self, b: int) -> str:
-        return self.labels[b] if self.labels is not None else str(b)
 
 
 @dataclass(frozen=True)
@@ -52,10 +45,7 @@ class Instrument:
         for br in self.branches:
             for a in br:
                 if a.shape != (self.dim, self.dim):
-                    raise DimMismatchError(f"Kraus shape {a.shape} does not match dim {self.dim}")
-
-    def __len__(self) -> int:
-        return len(self.branches)
+                    raise InfodistError(f"Kraus shape {a.shape} does not match dim {self.dim}")
 
     def kraus_ops(self) -> list[np.ndarray]:
         """All Kraus operators flattened across branches."""
@@ -110,45 +100,44 @@ def apply_channel(inst: Instrument, rho: np.ndarray) -> np.ndarray:
 
 
 def coarse_grain(povm: POVM, partition: list[list[int]]) -> POVM:
-    """Group outcomes by summing effects over each partition block."""
+    """Group outcomes by summing effects over each partition block; outcome
+    k of the result is block k."""
     seen = sorted(i for block in partition for i in block)
     if seen != list(range(len(povm.effects))):
-        raise BadPartitionError("partition must cover every outcome index exactly once")
+        raise InfodistError("partition must cover every outcome index exactly once")
     effects = []
-    labels = []
     for block in partition:
         f = np.zeros((povm.dim, povm.dim), dtype=complex)
         for i in block:
             f += povm.effects[i]
         effects.append(f)
-        labels.append("+".join(povm.label(i) for i in block))
-    return POVM(povm.dim, tuple(effects), tuple(labels))
+    return POVM(povm.dim, tuple(effects))
 
 
 def convex_mix(procedures: list[tuple[POVM, Instrument]], weights: list[float]) -> tuple[POVM, Instrument]:
     """Convex mixture of measurement procedures with flagged outcomes.
 
     The mixed POVM is {w_i F_b^i}_ib and the mixed instrument carries
-    sqrt(w_i) A_b^i, so outcome (i, b) records both which procedure ran and
-    its result. Average-fidelity disturbance and outcome-state mutual
-    information are both exactly linear in the weights under this mixing.
+    sqrt(w_i) A_b^i, so outcome (i, b), listed procedure by procedure,
+    records both which procedure ran and its result. Average-fidelity
+    disturbance and outcome-state mutual information are both exactly
+    linear in the weights under this mixing.
     """
     if len(procedures) != len(weights):
-        raise WeightError("need one weight per procedure")
+        raise InfodistError("need one weight per procedure")
     w = validate_distribution(weights)
     dim = procedures[0][0].dim
-    effects, labels, branches = [], [], []
+    effects, branches = [], []
     for i, (povm, inst) in enumerate(procedures):
         if povm.dim != dim or inst.dim != dim:
-            raise DimMismatchError("all procedures must share one dimension")
+            raise InfodistError("all procedures must share one dimension")
         if len(povm.effects) != len(inst.branches):
-            raise DimMismatchError(f"procedure {i}: POVM and instrument outcome counts differ")
+            raise InfodistError(f"procedure {i}: POVM and instrument outcome counts differ")
         root = np.sqrt(w[i])
         for b, e in enumerate(povm.effects):
             effects.append(w[i] * e)
-            labels.append(f"{i}:{povm.label(b)}")
             branches.append(tuple(root * a for a in inst.branches[b]))
-    return POVM(dim, tuple(effects), tuple(labels)), Instrument(dim, tuple(branches))
+    return POVM(dim, tuple(effects)), Instrument(dim, tuple(branches))
 
 
 def reset_instrument(povm: POVM, psi0: np.ndarray) -> Instrument:
@@ -173,7 +162,7 @@ def reset_instrument(povm: POVM, psi0: np.ndarray) -> Instrument:
 def basis_povm(d: int) -> POVM:
     """Projective measurement of the standard basis."""
     eye = np.eye(d, dtype=complex)
-    return POVM(d, tuple(np.outer(eye[:, b], eye[:, b].conj()) for b in range(d)), tuple(str(b) for b in range(d)))
+    return POVM(d, tuple(np.outer(eye[:, b], eye[:, b].conj()) for b in range(d)))
 
 
 def trine_povm() -> POVM:
@@ -184,7 +173,7 @@ def trine_povm() -> POVM:
         angle = k * np.pi / 3  # Hilbert-space angle is half the Bloch angle
         t = np.array([np.cos(angle), np.sin(angle)], dtype=complex)
         effects.append(2.0 / 3.0 * np.outer(t, t.conj()))
-    return POVM(2, tuple(effects), ("t0", "t1", "t2"))
+    return POVM(2, tuple(effects))
 
 
 def random_povm(
@@ -203,7 +192,7 @@ def random_povm(
     if rank is None:
         rank = d
     if n_outcomes * rank < d:
-        raise DimMismatchError(f"{n_outcomes} outcomes of rank {rank} cannot resolve dimension {d}")
+        raise InfodistError(f"{n_outcomes} outcomes of rank {rank} cannot resolve dimension {d}")
     blocks = []
     for _ in range(n_outcomes):
         x = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
@@ -216,5 +205,5 @@ def isometry_kraus(m: np.ndarray) -> list[np.ndarray]:
     """Split a (k*d, d) isometry into the k Kraus blocks of its channel."""
     kd, d = m.shape
     if kd % d != 0:
-        raise DimMismatchError(f"isometry shape {m.shape} is not a stack of square blocks")
+        raise InfodistError(f"isometry shape {m.shape} is not a stack of square blocks")
     return [m[i * d : (i + 1) * d, :] for i in range(kd // d)]

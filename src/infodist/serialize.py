@@ -40,9 +40,11 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def _size(value) -> int:
-    """A size read from JSON as an int: ValueError for a boolean, a fraction,
-    an infinity (json reads 1e400 as inf) or a NaN."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A size read from JSON as an int: ValueError for anything but an int or
+    a whole float, so for a boolean, a string, a fraction, an infinity (json
+    reads 1e400 as inf) or a NaN."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
         raise ValueError(f"sizes must be whole numbers, got {value!r}")
     return int(value)
 
@@ -66,16 +68,12 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def povm_to_json(povm: POVM) -> dict:
-    obj = {"dim": povm.dim, "effects": [matrix_to_json(e) for e in povm.effects]}
-    if povm.labels is not None:
-        obj["labels"] = list(povm.labels)
-    return obj
+    return {"dim": povm.dim, "effects": [matrix_to_json(e) for e in povm.effects]}
 
 
 def povm_from_json(obj: dict) -> POVM:
-    effects = tuple(matrix_from_json(e) for e in obj["effects"])
-    labels = tuple(obj["labels"]) if "labels" in obj and obj["labels"] is not None else None
-    return POVM(_size(obj["dim"]), effects, labels)
+    effects = tuple(matrix_from_json(e) for e in obj["effects"])  # first, so its error wins when dim is bad too
+    return POVM(_size(obj["dim"]), effects)
 
 
 def mubset_to_json(mub: MubSet, p: int, n: int) -> dict:

@@ -1,6 +1,7 @@
 import gc
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +289,18 @@ def test_disturbance_rejects_invalid_povm(tmp_path, capsys):
     assert "completeness" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels", [["0", "1"], ["only one"], None, "x", 7], ids=["two", "too-few", "null", "string", "number"])
+@pytest.mark.parametrize("argv", [["disturbance", "--method", "exact"], ["info", "--samples", "200"], ["twirl-check", "--samples", "200"]])
+def test_povm_labels_are_ignored(argv, labels, qubit_basis_file, tmp_path, capsys):
+    # outcomes carry no names; a "labels" key once had to match the effects in length
+    labeled = tmp_path / "labeled.json"
+    labeled.write_text(serialize.dumps({**json.loads(Path(qubit_basis_file).read_text()), "labels": labels}))
+    assert main([*argv, "--povm", qubit_basis_file]) == 0
+    plain = capsys.readouterr()
+    assert main([*argv, "--povm", str(labeled)]) == 0
+    assert capsys.readouterr() == plain
+
+
 def test_info_command(qubit_basis_file, capsys):
     assert main(["info", "--povm", qubit_basis_file, "--samples", "20000", "--seed", "1"]) == 0
     nats = json.loads(capsys.readouterr().out)
@@ -483,14 +496,14 @@ def test_twirl_check_refuses_dimension_one(tmp_path, capsys):
     assert captured.err.startswith("validation failure: ") and "at least 2, got 1" in captured.err
 
 
-@pytest.mark.parametrize("size", ["1e400", "2.5", "true"])
+@pytest.mark.parametrize("size", ["1e400", "2.5", "true", '"2"', '" 2 "'])
 @pytest.mark.parametrize(
     "command, key",
     [("design-check", "rows"), ("design-check", "cols")]
     + [(command, key) for command in ("info", "disturbance", "twirl-check") for key in ("rows", "cols", "dim")],
 )
 def test_size_that_is_not_a_whole_number_one_line_message(command, key, size, tmp_path, capsys):
-    # json reads 1e400 as inf: int() raised OverflowError, a traceback; 2.5 was read as 2, true as 1
+    # json reads 1e400 as inf: int() raised OverflowError, a traceback; 2.5 and " 2 " were read as 2, true as 1
     if command == "design-check":
         text, flag, rc = serialize.dumps([serialize.matrix_to_json(np.eye(2))]), "--in", 2
     else:

@@ -7,7 +7,6 @@ import infodist as qd
 from infodist import disturbance
 from infodist.config import BLOCK_ENTRIES
 from conftest import induced_effects
-from infodist.errors import DimMismatchError, NotPositiveError
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
@@ -168,7 +167,7 @@ def test_superadditivity_margin_cases():
     assert qd.superadditivity_margin(p1, np.zeros((3, 3), dtype=complex), psi) == pytest.approx(0.0, abs=1e-10)
     assert qd.superadditivity_margin(p1, 2.7 * p1, psi) == pytest.approx(0.0, abs=1e-10)
 
-    with pytest.raises(NotPositiveError):
+    with pytest.raises(qd.InfodistError, match="positive semidefinite"):
         qd.superadditivity_margin(-p1, p1, psi)
 
 
@@ -228,5 +227,5 @@ def test_entfid_bound_rejects_nan_isometry():
     # NaN compared False against the trace-preservation gate: the check returned (nan, 0.5)
     m = np.eye(2, dtype=complex)
     m[0, 1] = np.nan
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(qd.InfodistError, match="trace-preserving channel"):
         qd.entfid_bound_check(qd.basis_povm(2), m)

@@ -1,7 +1,9 @@
-"""The package exports only what something beyond its own unit tests uses, and the command line
-fails with one exception type per exit code."""
+"""The package exports only what something beyond its own unit tests uses, defines only exception
+types that something beyond them catches, and the command line fails with one exception type per
+exit code."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -24,13 +26,20 @@ def _names_used(path):
     return {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
 
 
+def _names_caught(path):
+    """Every name that an ``except`` clause of the file's code lists, as a name or an attribute."""
+    handlers = [n.type for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(n, ast.ExceptHandler)]
+    nodes = [n for h in handlers if h for n in ast.walk(h)]
+    return {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+
+
 def test_cli_raises_only_its_two_failure_types():
     """``main`` maps UsageError to exit 2 and InfodistError to exit 1. Any other raise in cli.py
     must be argparse's ArgumentTypeError, which argparse turns into its own exit 2, or a private
     exception that cli.py catches itself."""
-    nodes = list(ast.walk(ast.parse((ROOT / "src" / "infodist" / "cli.py").read_text(encoding="utf-8"))))
-    caught = {n.id for h in nodes if isinstance(h, ast.ExceptHandler) and h.type for n in ast.walk(h.type)
-              if isinstance(n, ast.Name)}  # fmt: skip
+    cli = ROOT / "src" / "infodist" / "cli.py"
+    nodes = list(ast.walk(ast.parse(cli.read_text(encoding="utf-8"))))
+    caught = _names_caught(cli)
     raised = set()
     for node in nodes:
         if isinstance(node, ast.Raise):
@@ -46,3 +55,16 @@ def test_every_export_has_a_user():
     exports = {name for name, value in vars(qd).items() if not name.startswith("_") and not inspect.ismodule(value)}
     used = set().union(*map(_names_used, USERS))
     assert sorted(exports - used) == []
+
+
+def test_every_exception_type_is_caught_by_name():
+    """A type that nothing beyond the unit tests tells apart from its base is one ``raise`` of the
+    base with the same message."""
+    defined = set()
+    for path in (ROOT / "src" / "infodist").glob("*.py"):
+        module = importlib.import_module(f"infodist.{path.stem}" if path.stem != "__init__" else "infodist")
+        defined |= {name for name, value in vars(module).items()
+                    if inspect.isclass(value) and issubclass(value, BaseException) and value.__module__ == module.__name__}  # fmt: skip
+    caught = set().union(*map(_names_caught, USERS))
+    assert {"InfodistError", "UsageError", "_Overflow"} <= defined
+    assert sorted(defined - caught) == []

@@ -7,7 +7,6 @@ import infodist as qd
 from infodist import information
 from infodist.config import BLOCK_ENTRIES
 from conftest import haar_info
-from infodist.errors import WeightError
 
 LN2 = np.log(2.0)
 
@@ -131,7 +130,7 @@ def test_info_finite_ensemble_cases():
     report = qd.info_finite_ensemble(basis, [(e0, 0.5), (e1, 0.5)])
     assert report.mutual_info == pytest.approx(LN2, abs=1e-12)
 
-    with pytest.raises(WeightError):
+    with pytest.raises(qd.InfodistError, match="nonnegative and sum to 1"):
         qd.info_finite_ensemble(basis, [(e0, 0.7)])
 
 

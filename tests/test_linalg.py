@@ -5,7 +5,6 @@ import infodist as qd
 from infodist import serialize
 from infodist.cli import main
 from infodist.config import BLOCK_ENTRIES
-from infodist.errors import DimMismatchError, NonHermitianError, NonSquareError, NotPositiveError, WeightError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -54,9 +53,9 @@ def test_herm_eig_reconstruction_random():
 
 
 def test_herm_eig_rejects():
-    with pytest.raises(NonSquareError):
+    with pytest.raises(qd.InfodistError, match="expected a square matrix"):
         qd.herm_eig(np.zeros((2, 3), dtype=complex))
-    with pytest.raises(NonHermitianError):
+    with pytest.raises(qd.InfodistError, match="is not Hermitian"):
         qd.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
@@ -105,7 +104,7 @@ def test_mat_sqrt_squares_back():
 
 
 def test_mat_sqrt_rejects_negative():
-    with pytest.raises(NotPositiveError):
+    with pytest.raises(qd.InfodistError, match="positive semidefinite"):
         qd.mat_sqrt(np.diag([1.0, -1.0]).astype(complex))
 
 
@@ -138,11 +137,11 @@ def test_gen_inv_sqrt_matches_phase_fixed_reference():
 
 
 def test_gen_inv_sqrt_rejects():
-    with pytest.raises(NonHermitianError):
+    with pytest.raises(qd.InfodistError, match="is not Hermitian"):
         qd.gen_inv_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
-    with pytest.raises(NotPositiveError):
+    with pytest.raises(qd.InfodistError, match="positive semidefinite"):
         qd.gen_inv_sqrt(np.diag([1.0, -1.0]).astype(complex))
-    with pytest.raises(NonSquareError):
+    with pytest.raises(qd.InfodistError, match="expected a square matrix"):
         qd.gen_inv_sqrt(np.zeros((2, 3), dtype=complex))
 
 
@@ -274,42 +273,42 @@ def test_nan_fails_the_hermiticity_gate():
     # NaN compares False against the gate, and once passed as Hermitian:
     # the support cutoff then turned the NaN eigenvalue into 0
     for f in (qd.herm_eig, qd.mat_sqrt, qd.gen_inv_sqrt):
-        with pytest.raises(NonHermitianError):
+        with pytest.raises(qd.InfodistError, match="is not Hermitian"):
             f(NAN)
 
 
 def test_nan_weight_fails_the_distribution_gate():
     # NaN compared False against both tests and passed as a distribution
     for weights in ([np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]):
-        with pytest.raises(WeightError):
+        with pytest.raises(qd.InfodistError, match="nonnegative and sum to 1"):
             qd.validate_distribution(weights)
     basis = qd.basis_povm(2)
-    with pytest.raises(WeightError):
+    with pytest.raises(qd.InfodistError, match="nonnegative and sum to 1"):
         qd.convex_mix([(basis, qd.sqrt_instrument(basis))] * 2, [np.nan, 1.0])
     e0, e1 = np.eye(2, dtype=complex)
-    with pytest.raises(WeightError):  # returned a silent NaN
+    with pytest.raises(qd.InfodistError, match="nonnegative and sum to 1"):  # returned a silent NaN
         qd.info_finite_ensemble(basis, [(e0, np.nan), (e1, 1.0)])
 
 
 def test_each_gate_sits_at_its_threshold(tmp_path):
     # just outside, then just inside, each constant in infodist.config
     eye = np.eye(2, dtype=complex)
-    with pytest.raises(NonHermitianError):  # HERM_GATE = 1e-8
+    with pytest.raises(qd.InfodistError, match="is not Hermitian"):  # HERM_GATE = 1e-8
         qd.herm_eig(np.array([[1.0, 2e-8], [0.0, 1.0]], dtype=complex))
     qd.herm_eig(np.array([[1.0, 5e-9], [0.0, 1.0]], dtype=complex))
-    with pytest.raises(NotPositiveError):  # PSD_SLACK = 1e-10
+    with pytest.raises(qd.InfodistError, match="positive semidefinite"):  # PSD_SLACK = 1e-10
         qd.mat_sqrt(np.diag([1.0, -2e-10]).astype(complex))
     qd.mat_sqrt(np.diag([1.0, -5e-11]).astype(complex))
     # SUPPORT_REL = 1e-12: the cutoff next to eigenvalue 1 in d = 2 is 2e-12
     assert qd.gen_inv_sqrt(np.diag([1.0, 1e-13]).astype(complex))[1, 1] == 0.0
     assert qd.gen_inv_sqrt(np.diag([1.0, 1e-11]).astype(complex))[1, 1] == pytest.approx(1e-11**-0.5)
-    with pytest.raises(WeightError):  # WEIGHT = 1e-12
+    with pytest.raises(qd.InfodistError, match="nonnegative and sum to 1"):  # WEIGHT = 1e-12
         qd.validate_distribution([0.5, 0.5 + 2e-12])
     qd.validate_distribution([0.5, 0.5 + 5e-13])
     # RECONSTRUCTION = 1e-9 on completeness
     assert not qd.povm_validate(qd.POVM(2, ((1 + 2e-9) * eye,))).passed
     assert qd.povm_validate(qd.POVM(2, ((1 + 5e-10) * eye,))).passed
-    with pytest.raises(DimMismatchError):  # ALGEBRAIC = 1e-10 on the isometry's |m|^2 - 1
+    with pytest.raises(qd.InfodistError, match="trace-preserving channel"):  # ALGEBRAIC = 1e-10 on the isometry's |m|^2 - 1
         qd.entfid_bound_check(qd.basis_povm(2), np.sqrt(1 + 2e-10) * eye)
     qd.entfid_bound_check(qd.basis_povm(2), np.sqrt(1 + 5e-11) * eye)
     # DESIGN = 1e-13 in design-check: unbiased bases scaled by s have delta = (1 - s^4)^2

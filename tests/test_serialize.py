@@ -26,9 +26,9 @@ def test_matrix_from_json_validates():
         serialize.matrix_from_json({"rows": 0, "cols": 1, "data": []})
 
 
-@pytest.mark.parametrize("size", [float("inf"), float("-inf"), float("nan"), 2.5])
+@pytest.mark.parametrize("size", [float("inf"), float("-inf"), float("nan"), 2.5, True, "2", " 2 ", None])
 def test_sizes_must_be_whole_numbers(size):
-    # json reads 1e400 as inf, and int(inf) raised OverflowError; int(2.5) read 2
+    # json reads 1e400 as inf, and int(inf) raised OverflowError; int(2.5) read 2, int(" 2 ") too
     matrix = {"rows": 2, "cols": 1, "data": [[1.0, 0.0], [0.0, 0.0]]}
     for obj in ({**matrix, "rows": size}, {**matrix, "cols": size}):
         with pytest.raises(ValueError, match="whole numbers"):
@@ -94,9 +94,18 @@ def test_povm_roundtrip():
     assert back.dim == povm.dim
     assert all(np.abs(a - b).max() == 0.0 for a, b in zip(back.effects, povm.effects))
 
-    labeled = qd.basis_povm(2)
-    back = serialize.povm_from_json(serialize.povm_to_json(labeled))
-    assert back.labels == labeled.labels
+    # outcomes carry no names: none is written, and a file's "labels" key is ignored
+    basis = qd.basis_povm(2)
+    obj = serialize.povm_to_json(basis)
+    assert sorted(obj) == ["dim", "effects"]
+    back = serialize.povm_from_json({**obj, "labels": ["only one"]})
+    assert len(back) == 2 and all(np.array_equal(a, b) for a, b in zip(back.effects, basis.effects))
+
+
+def test_povm_effects_are_read_before_dim():
+    bad = {**serialize.matrix_to_json(np.eye(2)), "rows": 2.5}
+    with pytest.raises(ValueError, match="got 2.5"):
+        serialize.povm_from_json({"dim": "2", "effects": [bad]})
 
 
 def test_mubset_roundtrip():
@@ -168,7 +177,7 @@ ORACLE_CASES = {
     "non-finite-matrix": _non_finite_matrix,
     "empty": lambda: {"a": {}, "b": [], "c": [[], {}, ()], "m": serialize.matrix_to_json(np.zeros((0, 3)))},
     "float64-report": _float64_report,
-    "non-ascii-label": lambda: serialize.povm_to_json(qd.POVM(2, qd.basis_povm(2).effects, ("é", "ψ\n\"q\""))),
+    "non-ascii-label": lambda: {"labels": ["é", "ψ\n\"q\""], "m": serialize.matrix_to_json(np.eye(2))},
     "non-string-keys": lambda: {1: serialize.matrix_to_json(np.eye(1)), 2.5: (None, True), 0: "x"},
     "frontier": _small_frontier,
     "scalar": lambda: 0.1,
