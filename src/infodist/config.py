@@ -17,11 +17,11 @@ STDERR_FLOOR   : added to a Monte Carlo 5-stderr band (twirl-check) so an
                  entry whose samples do not vary is judged, not divided by 0
 GRID_SLACK     : how far a frontier p may lie outside [0, d/(d+1)]; such a
                  p is solved at the end it overshoots
-TANGENT_REL    : relative bracket width at which the solve for the chord's
-                 touch point y*(d) stops; near y* the sign of its residual
-                 is rounding noise, over a band 1.3e-12 wide (relative) at
-                 d = 3 and 1.2e-13 at d = 16, so a narrower bracket only
-                 picks a double inside that band
+TANGENT_REL    : relative size of the Newton step at which the solve for the
+                 chord's touch point y*(d) stops; near y* the sign of its
+                 residual is rounding noise, over a band 8e-13 wide
+                 (relative) at d = 3 and 2e-14 at d = 16, so a smaller
+                 step only picks a double inside that band
 DESIGN         : bound on design-check's delta = ||D - Pi||_F^2 d(d+1)/2,
                  the squared distance of a vector set's second moment
                  from the Haar one; delta is quadratic in a defect, and
@@ -30,9 +30,9 @@ DESIGN         : bound on design-check's delta = ||D - Pi||_F^2 d(d+1)/2,
                  JSON, while a 1e-7 perturbation per entry reads 1.9e-12
 MUB_CAP        : largest dimension p^n for which unbiased bases are built
 FRONTIER_CAP   : largest dimension d of ``frontier_curve``; the arc's
-                 concavity, on which its solve rests, is checked up to
-                 d = 49, and without a cap a large d runs the process out
-                 of memory (the y* scan's temporaries grow linearly in d)
+                 concavity, on which its solve rests, is tested up to
+                 d = 49 (the solve's memory does not grow with d, but its
+                 scan starts at y = 1e-3, which y* ~ 0.56/d nears at d ~ 560)
 BLOCK_ENTRIES  : complex entries per row block (512 kB) in which
                  ``haar_states`` normalises and ``info_uniform_mc`` and
                  ``avg_fidelity_mc`` score their states, so their working

@@ -21,13 +21,13 @@ structure of the optimal operations in Banaszek's fidelity tradeoff
 family is a numerical finding, not a theorem: a multi-start search over all
 spectra, kept in the tests as an oracle, never beats it by more than
 rounding (1.6e-13) for d = 2..10. On the family, phi(y) = phi* is a
-quadratic in sqrt y, and the arc y in [0, y*] is concave (checked for d up
-to 49, hence ``FRONTIER_CAP``). For d >= 3 the envelope below p* is the
-chord from the flat spectrum to nu(y*), the point where J / (d^2 - phi)
-peaks; y* is solved by false position on a bracket from a short scan, and
-the solve stops at the relative width ``TANGENT_REL``, about the band in
-which the sign of its residual is rounding noise. At d = 2 the arc runs to
-the flat end.
+quadratic in sqrt y, and the arc y in [0, y*] is concave (a test checks
+d^2 J / d phi^2 < 0 on it for d up to 49, hence ``FRONTIER_CAP``). For
+d >= 3 the envelope below p* is the chord from the flat spectrum to nu(y*),
+the point where J / (d^2 - phi) peaks; y* is solved by Newton steps on the
+family's own J, J', J'', kept in a bracket from a short scan, to a step of
+relative size ``TANGENT_REL``, about the band in which the sign of the
+residual is rounding noise. At d = 2 the arc runs to the flat end.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import FRONTIER_CAP, GRID_SLACK, TANGENT_REL
 from .errors import InfodistError
-from .information import haar_xlogx, info_finegrained_exact
+from .information import _T, _T_RATIO, _harmonic_tail, haar_xlogx, info_finegrained_exact
 from .linalg import dagger, haar_unitaries, mat_sqrt, mean_stderr
 from .measurement import POVM, Instrument, apply_channel
 
@@ -121,47 +121,56 @@ def _family(d: int, y) -> tuple[np.ndarray, np.ndarray]:
     return nu, (np.sqrt(nu[..., 0]) + (d - 1) * np.sqrt(y)) ** 2
 
 
-def _tangent_residual(d: int, y) -> np.ndarray:
-    """J phi' - J' (phi - d^2) along the family, ' = d/dy: positive while J / (d^2 - phi),
-    the slope of the chord from the flat spectrum, still grows with y."""
-    nu, phi = _family(d, y)
-    j, grad = haar_xlogx(nu, gradient=True)
-    dj = grad[..., 1:].sum(axis=-1) - (d - 1) * grad[..., 0]
-    dphi = (d - 1) * np.sqrt(phi) * (1.0 / np.sqrt(y) - 1.0 / np.sqrt(nu[..., 0]))
+def _seed_kernel(d: int, y) -> tuple[np.ndarray, ...]:
+    """J, J', J'' and phi, phi', phi'' on nu(y), ' = d/dy, y in (0, 1) of any shape: ``haar_xlogx``'s
+    integral on the family alone, one entry per node whatever d is. With a = d - (d-1) y, sum nu = d,
+    ln r = -ln(1 + a/t) - (d-1) ln(1 + y/t), r' = r l1 and r'' = r (l1^2 + l1'), l1 = (d-1) (1/(a+t) - 1/(y+t))."""
+    y = np.asarray(y, dtype=float)
+    a = d - (d - 1) * y
+    log_r = -np.log1p(a[..., None] / _T) - (d - 1) * np.log1p(y[..., None] / _T)
+    tr, inv_a, inv_y = _T * np.exp(log_r), 1.0 / (a[..., None] + _T), 1.0 / (y[..., None] + _T)
+    l1 = (d - 1) * (inv_a - inv_y)
+    j = (0.5 * (d * _T_RATIO + np.expm1(log_r) * _T).sum(axis=-1) - _harmonic_tail(d) * d) / d  # dt = t du, h = 1/2
+    dj = 0.5 * (tr * l1).sum(axis=-1) / d
+    d2j = 0.5 * (tr * (l1 * l1 + (d - 1) * ((d - 1) * inv_a * inv_a + inv_y * inv_y))).sum(axis=-1) / d
+    rt_a, rt_y = np.sqrt(a), np.sqrt(y)  # phi = s^2, s = sqrt a + (d-1) sqrt y
+    s, ds = rt_a + (d - 1) * rt_y, 0.5 * (d - 1) * (1.0 / rt_y - 1.0 / rt_a)
+    d2s = -0.25 * (d - 1) * (1.0 / (y * rt_y) + (d - 1) / (a * rt_a))
+    return j, dj, d2j, s * s, 2.0 * s * ds, 2.0 * (ds * ds + s * d2s)
+
+
+def _tangent_residual(d: int, y) -> tuple[np.ndarray, np.ndarray]:
+    """R = J phi' - J' (phi - d^2), positive while J / (d^2 - phi), the slope of the chord from the
+    flat spectrum, still grows with y, and its derivative R' = J phi'' - J'' (phi - d^2)."""
+    j, dj, d2j, phi, dphi, d2phi = _seed_kernel(d, y)
     residual = j * dphi - dj * (phi - d * d)
     if np.isnan(residual).any():
         raise FloatingPointError(f"the tangent residual is NaN in dimension {d}")
-    return residual
+    return residual, j * d2phi - d2j * (phi - d * d)
 
 
 def _tangent_point(d: int) -> float:
-    """The y* in (0, 1) that maximizes J(y) / (d^2 - phi(y)), d >= 3: the seed where the
-    chord from the flat spectrum touches the arc. The residual is +inf at y = 0 and
-    crosses zero once; one batched scan brackets the crossing, and false position with
-    the Illinois rule (halve the value kept at an end that survives twice) shrinks the
-    bracket until it is ``TANGENT_REL`` wide relative to y*, inside the residual's own
-    rounding band. Returns the bracket's end of positive residual."""
-    ys = np.geomspace(1e-3, 0.6, 12)  # y* falls with d: y*(3) = 0.453, y*(FRONTIER_CAP = 49) = 0.0123
-    scan = _tangent_residual(d, ys)
+    """The y* in (0, 1) that maximizes J(y) / (d^2 - phi(y)), d >= 3: the seed where the chord from
+    the flat spectrum touches the arc. R is +inf at y = 0 and crosses zero once; one batched scan
+    brackets the crossing, and Newton steps from the bracket's secant root in ln y close in on it,
+    each shrinking the bracket by the sign of R and bisecting it instead of stepping out of it. The
+    solve stops at a step within ``TANGENT_REL`` of y*, inside the rounding band of R's sign."""
+    ys = 1e-3 * 600.0 ** (np.arange(12) / 11)  # y*(3) = 0.453 down to y*(FRONTIER_CAP = 49) = 0.0123
+    scan = _tangent_residual(d, ys)[0]
     k = int(np.argmax(scan <= 0))  # 0 if scan[0] <= 0 or no point is: no sign change in the scan
     if k == 0:
         raise ArithmeticError(f"the chord from the flat spectrum touches no seed in dimension {d}")
     (lo, hi), (f_lo, f_hi) = ys[k - 1 : k + 1], scan[k - 1 : k + 1]
-    kept = 0  # +1 (-1): the last step kept hi (lo)
-    while hi - lo > TANGENT_REL * hi:
-        y = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < y < hi:  # rounding put the secant root on an end: bisect instead
-            y = 0.5 * (lo + hi)
-        f = float(_tangent_residual(d, y))
-        if f > 0:
-            lo, f_lo = y, f
-            f_hi *= 0.5 if kept == 1 else 1.0
-            kept = 1
-        else:
-            hi, f_hi = y, f
-            f_lo *= 0.5 if kept == -1 else 1.0
-            kept = -1
-    return float(lo)
+    y = np.exp((np.log(lo) * f_hi - np.log(hi) * f_lo) / (f_hi - f_lo))  # the scan is geometric
+    while True:  # each continued step lands strictly inside the bracket, which the next one shrinks
+        f, df = map(float, _tangent_residual(d, y))
+        lo, hi = (y, hi) if f > 0 else (lo, y)
+        step = f / df
+        if abs(step) > TANGENT_REL * y and not lo < y - step < hi:
+            step = y - 0.5 * (lo + hi)
+        if abs(step) <= TANGENT_REL * y:
+            return float(y - step)
+        y -= step
 
 
 def _arc_point(d: int, p: float, p_max: float) -> float:
@@ -201,7 +210,7 @@ def frontier_curve(d: int, p_grid: list[float]) -> list[FrontierPoint]:
     For each mixing probability p the disturbance is exactly p(d-1)/d and
     the information is the envelope of the seed curve at d^2(1-p) + p, taken
     on the family nu(y) (see the module docstring): the chord to nu(y*) for
-    p < p* = (d^2 - phi(y*)) / (d^2 - 1), the arc beyond. d may be at most
+    p < p* = (d^2 - phi(y*)) / (d^2 - 1), the arc beyond. d runs from 2 to
     ``FRONTIER_CAP``, and p may lie ``GRID_SLACK`` outside [0, d/(d+1)], in
     which case it is solved at the end. Each value is attained by the at
     most two seeds listed, with their weights and spectra, in its
@@ -209,6 +218,8 @@ def frontier_curve(d: int, p_grid: list[float]) -> list[FrontierPoint]:
     same disturbance: the flagged mix of doing nothing and the basis
     measurement, with basis weight p(d+1)/d, carries that fraction of I_max.
     """
+    if d < 2:
+        raise InfodistError(f"the frontier needs dimension at least 2, got {d}")
     if d > FRONTIER_CAP:
         raise InfodistError(f"dimension {d} exceeds the configured cap {FRONTIER_CAP}")
     p_max = d / (d + 1)

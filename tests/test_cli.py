@@ -411,7 +411,7 @@ def test_frontier_empty_budget_exit_2(option, value, capsys):
 
 
 def test_frontier_dimension_over_the_cap_exit_1(tmp_path, monkeypatch, capsys):
-    # with no cap a large --d ran the y* scan out of memory; the cap is refused before any solve
+    # the cap is refused before any solve
     assert main(["frontier", "--d", str(FRONTIER_CAP), "--grid", "2", "--out", str(tmp_path / "c.csv")]) == 0
 
     def no_solve(*args):

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,16 +186,26 @@ def oracle_curve(d, p_grid, rng, restarts=16):
 # -- oracle: the chord's touch point y*(d) by bisection to adjacent doubles ----------------
 
 
+def generic_tangent_residual(d, y):
+    """J phi' - J' (phi - d^2) along the family from ``haar_xlogx`` on the full spectra nu(y), with J'
+    its gradient contracted with dnu/dy = (-(d-1), 1, ..., 1): independent of the family kernel."""
+    nu, phi = frontier._family(d, y)
+    j, grad = qd.haar_xlogx(nu, gradient=True)
+    dj = grad[..., 1:].sum(axis=-1) - (d - 1) * grad[..., 0]
+    dphi = (d - 1) * np.sqrt(phi) * (1.0 / np.sqrt(y) - 1.0 / np.sqrt(nu[..., 0]))
+    return j * dphi - dj * (phi - d * d)
+
+
 def bisected_tangent_point(d):
-    """y* as the frontier found it before false position: a 48-point batched scan of the
-    tangent residual brackets the sign change, and bisection closes it to adjacent doubles."""
+    """y* with nothing of the frontier's solve: a 48-point batched scan of the generic tangent
+    residual brackets the sign change, and bisection closes it to adjacent doubles."""
     ys = np.geomspace(1e-6, 1.0, 49)[:-1]
-    scan = frontier._tangent_residual(d, ys)
+    scan = generic_tangent_residual(d, ys)
     k = int(np.argmax(scan <= 0))
     assert scan[k] <= 0
     lo, hi = (ys[k - 1] if k else 0.0), ys[k]
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if frontier._tangent_residual(d, mid) > 0:
+        if generic_tangent_residual(d, mid) > 0:
             lo = mid
         else:
             hi = mid
@@ -447,6 +458,10 @@ def test_frontier_curve_rejects_bad_grid():
         qd.frontier_curve(2, [0.9])
     with pytest.raises(qd.InfodistError, match="exceeds the configured cap"):
         qd.frontier_curve(FRONTIER_CAP + 1, [0.5])
+    # p* = (d^2 - phi(y*)) / (d^2 - 1) once divided by zero at d = 1
+    for d in (1, 0):
+        with pytest.raises(qd.InfodistError, match=f"at least 2, got {d}"):
+            qd.frontier_curve(d, [0.0])
 
 
 def _phi(spectrum):
@@ -634,15 +649,15 @@ def test_frontier_endpoints_are_exact(d):
 
 
 def test_tangent_point_matches_the_bisection_oracle():
-    # false position stops at a bracket TANGENT_REL wide; bisection walks on to adjacent doubles
-    # through the band where the residual's sign is rounding noise
+    # Newton stops at a step TANGENT_REL y* wide; bisection walks on to adjacent doubles through the
+    # band where the residual's sign is rounding noise
     for d in range(3, FRONTIER_CAP + 1):
         oracle = bisected_tangent_point(d)
         assert abs(frontier._tangent_point(d) - oracle) <= 2 * TANGENT_REL * oracle, d
 
 
 def test_tangent_point_takes_one_scan_and_few_evaluations(monkeypatch):
-    # bisection to adjacent doubles took 52 single-point residuals after its scan
+    # Newton steps converge quadratically from the scan's bracket; bisection to adjacent doubles takes 52
     residual, sizes = frontier._tangent_residual, []
 
     def counted(d, y):
@@ -653,10 +668,58 @@ def test_tangent_point_takes_one_scan_and_few_evaluations(monkeypatch):
     for d in range(3, FRONTIER_CAP + 1):
         sizes.clear()
         frontier._tangent_point(d)
-        assert sizes[0] > 1 and sizes[1:] == [1] * (len(sizes) - 1) and len(sizes) - 1 <= 24, (d, sizes)
+        assert sizes[0] > 1 and sizes[1:] == [1] * (len(sizes) - 1) and len(sizes) <= 8, (d, sizes)
 
 
-@pytest.mark.parametrize("d", range(3, 11))
+def test_tangent_point_memory_is_flat_in_d():
+    # the family kernel's arrays hold one entry per node whatever d is, so the solve's memory does not grow
+    peaks = {}
+    for d in (3, FRONTIER_CAP):
+        frontier._tangent_point(d)
+        tracemalloc.start()
+        try:
+            frontier._tangent_point(d)
+            peaks[d] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[FRONTIER_CAP] <= 1.5 * peaks[3], peaks
+
+
+@pytest.mark.parametrize("d", range(2, FRONTIER_CAP + 1))
+def test_seed_kernel_matches_haar_xlogx_and_its_own_differences(d):
+    # J and J' against the generic integral on the full spectra; J'', phi', phi'' and
+    # R' = J phi'' - J'' (phi - d^2) against central differences of J', phi, phi' and R
+    ys = np.array([0.002, 0.02, 0.1, 0.4, 0.8, 0.98])
+    j, dj, d2j, phi, dphi, d2phi = frontier._seed_kernel(d, ys)
+    nu, phi_full = frontier._family(d, ys)
+    j_full, grad = qd.haar_xlogx(nu, gradient=True)
+    np.testing.assert_allclose(j, j_full, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(dj, grad @ np.r_[1 - d, np.ones(d - 1)], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(phi, phi_full, rtol=1e-15)
+    h = 1e-5 * ys
+    up, down = frontier._seed_kernel(d, ys + h), frontier._seed_kernel(d, ys - h)
+    np.testing.assert_allclose(d2j, (up[1] - down[1]) / (2 * h), rtol=1e-6)
+    np.testing.assert_allclose(dphi, (up[3] - down[3]) / (2 * h), rtol=1e-6)
+    np.testing.assert_allclose(d2phi, (up[4] - down[4]) / (2 * h), rtol=1e-6)
+    # R and R' are differences of two terms that cancel at y*, so they are compared on the terms' scale
+    r, dr = frontier._tangent_residual(d, ys)
+    r_scale = np.abs(j * dphi) + np.abs(dj * (phi - d * d))
+    assert (np.abs(r - generic_tangent_residual(d, ys)) <= 1e-9 * r_scale).all()
+    slope = (frontier._tangent_residual(d, ys + h)[0] - frontier._tangent_residual(d, ys - h)[0]) / (2 * h)
+    assert (np.abs(dr - slope) <= 1e-6 * (np.abs(j * d2phi) + np.abs(d2j * (phi - d * d)))).all()
+
+
+def test_seed_arc_is_concave():
+    # d^2 J / d phi^2 = (J'' phi' - J' phi'') / phi'^3 < 0 on the arc (0, y*] that the frontier draws
+    # for p >= p*, and on all of (0, 1) at d = 2, where there is no chord: the property FRONTIER_CAP
+    # rests on
+    for d in range(2, FRONTIER_CAP + 1):
+        ys = np.linspace(0.0, 1.0, 62)[1:-1] if d == 2 else frontier._tangent_point(d) * np.arange(1, 61) / 60
+        _, dj, d2j, _, dphi, d2phi = frontier._seed_kernel(d, ys)
+        assert ((d2j * dphi - dj * d2phi) / dphi**3 < 0).all(), d
+
+
+@pytest.mark.parametrize("d", range(3, FRONTIER_CAP + 1))
 def test_frontier_with_the_oracle_touch_point(d, monkeypatch):
     # the chord's value q (d^2 - 1) J(y*) / (d^2 - phi(y*)) is stationary in y*, so moving y* within
     # the stop width moves the frontier by no more than J's own rounding
