@@ -5,7 +5,7 @@ tested against one fixed threshold. These are package-wide constants; no
 function takes a tolerance argument.
 
 ALGEBRAIC      : exact identities (unitarity, hermiticity, orthogonality)
-RECONSTRUCTION : POVM completeness, disturbance report clamp
+RECONSTRUCTION : POVM completeness, disturbance report and twirl p* clamps
 PSD_SLACK      : how negative an eigenvalue may be before a matrix is
                  rejected as non-positive
 HERM_GATE      : asymmetry beyond which a matrix is rejected instead of
@@ -33,10 +33,10 @@ FRONTIER_CAP   : largest dimension d of ``frontier_curve``; the arc's
                  concavity, on which its solve rests, is tested up to
                  d = 49 (the solve's memory does not grow with d, but its
                  scan starts at y = 1e-3, which y* ~ 0.56/d nears at d ~ 560)
-BLOCK_ENTRIES  : complex entries per row block (512 kB) in which
-                 ``haar_states`` normalises and ``info_uniform_mc`` and
-                 ``avg_fidelity_mc`` score their states, so their working
-                 memory stays flat in the sample count
+BLOCK_ENTRIES  : entries per row block (512 kB if complex): ``haar_states``
+                 normalises, ``info_uniform_mc`` and ``avg_fidelity_mc``
+                 score their states, and ``family_xlogx`` its y values (145
+                 nodes each) in such blocks, so memory is flat in the count
 DISTINCT_NUMBERS : distinct number texts the JSON reader parses once each
                  and shares; the d = 49 ``mub`` file holds 14 among its
                  240,100 numbers, and no ``mub`` file more than 91 (d = 47).

@@ -25,9 +25,11 @@ quadratic in sqrt y, and the arc y in [0, y*] is concave (a test checks
 d^2 J / d phi^2 < 0 on it for d up to 49, hence ``FRONTIER_CAP``). For
 d >= 3 the envelope below p* is the chord from the flat spectrum to nu(y*),
 the point where J / (d^2 - phi) peaks; y* is solved by Newton steps on the
-family's own J, J', J'', kept in a bracket from a short scan, to a step of
-relative size ``TANGENT_REL``, about the band in which the sign of the
-residual is rounding noise. At d = 2 the arc runs to the flat end.
+family's own J, J', J'' (``information.family_xlogx``), kept in a bracket
+from a short scan, to a step of relative size ``TANGENT_REL``, about the
+band in which the sign of the residual is rounding noise. At d = 2 the arc
+runs to the flat end. J(y*) and the arc's J come from one batched call of
+the same function, with I_max at rank one and 0 at the flat end set exactly.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FRONTIER_CAP, GRID_SLACK, TANGENT_REL
+from .config import FRONTIER_CAP, GRID_SLACK, RECONSTRUCTION, TANGENT_REL
 from .errors import InfodistError
-from .information import _T, _T_RATIO, _harmonic_tail, haar_xlogx, info_finegrained_exact
+from .information import family_xlogx, info_finegrained_exact
 from .linalg import dagger, haar_unitaries, mat_sqrt, mean_stderr
 from .measurement import POVM, Instrument, apply_channel
 
@@ -85,7 +87,8 @@ def twirl_depolarizing_p(povm: POVM) -> float:
     if d < 2:
         raise InfodistError(f"the twirl needs dimension at least 2, got {d}")
     f_e = sum(float(np.trace(mat_sqrt(e)).real) ** 2 for e in povm.effects) / d**2
-    return (1.0 - f_e) * d**2 / (d**2 - 1)
+    p = (1.0 - f_e) * d**2 / (d**2 - 1)
+    return 0.0 if -RECONSTRUCTION <= p < 0.0 else p  # forgive rounding below 0, as for an identity POVM
 
 
 def twirl_channel(povm: POVM, rho: np.ndarray, n_samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -113,36 +116,20 @@ def twirl_channel(povm: POVM, rho: np.ndarray, n_samples: int, rng: np.random.Ge
 # -- the frontier on the one-parameter seed family ------------------------------
 
 
-def _family(d: int, y) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra nu(y) = (d - (d-1) y, y, ..., y) and phi(nu(y)), for y in [0, 1] of any shape."""
-    y = np.asarray(y, dtype=float)
-    nu = np.repeat(y[..., None], d, axis=-1)
-    nu[..., 0] = d - (d - 1) * y
-    return nu, (np.sqrt(nu[..., 0]) + (d - 1) * np.sqrt(y)) ** 2
-
-
-def _seed_kernel(d: int, y) -> tuple[np.ndarray, ...]:
-    """J, J', J'' and phi, phi', phi'' on nu(y), ' = d/dy, y in (0, 1) of any shape: ``haar_xlogx``'s
-    integral on the family alone, one entry per node whatever d is. With a = d - (d-1) y, sum nu = d,
-    ln r = -ln(1 + a/t) - (d-1) ln(1 + y/t), r' = r l1 and r'' = r (l1^2 + l1'), l1 = (d-1) (1/(a+t) - 1/(y+t))."""
+def _phi(d: int, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi(nu(y)) = (sqrt a + (d-1) sqrt y)^2, a = d - (d-1) y, phi' and phi'' (' = d/dy), y in (0, 1]."""
     y = np.asarray(y, dtype=float)
     a = d - (d - 1) * y
-    log_r = -np.log1p(a[..., None] / _T) - (d - 1) * np.log1p(y[..., None] / _T)
-    tr, inv_a, inv_y = _T * np.exp(log_r), 1.0 / (a[..., None] + _T), 1.0 / (y[..., None] + _T)
-    l1 = (d - 1) * (inv_a - inv_y)
-    j = (0.5 * (d * _T_RATIO + np.expm1(log_r) * _T).sum(axis=-1) - _harmonic_tail(d) * d) / d  # dt = t du, h = 1/2
-    dj = 0.5 * (tr * l1).sum(axis=-1) / d
-    d2j = 0.5 * (tr * (l1 * l1 + (d - 1) * ((d - 1) * inv_a * inv_a + inv_y * inv_y))).sum(axis=-1) / d
-    rt_a, rt_y = np.sqrt(a), np.sqrt(y)  # phi = s^2, s = sqrt a + (d-1) sqrt y
+    rt_a, rt_y = np.sqrt(a), np.sqrt(y)
     s, ds = rt_a + (d - 1) * rt_y, 0.5 * (d - 1) * (1.0 / rt_y - 1.0 / rt_a)
     d2s = -0.25 * (d - 1) * (1.0 / (y * rt_y) + (d - 1) / (a * rt_a))
-    return j, dj, d2j, s * s, 2.0 * s * ds, 2.0 * (ds * ds + s * d2s)
+    return s * s, 2.0 * s * ds, 2.0 * (ds * ds + s * d2s)
 
 
 def _tangent_residual(d: int, y) -> tuple[np.ndarray, np.ndarray]:
     """R = J phi' - J' (phi - d^2), positive while J / (d^2 - phi), the slope of the chord from the
     flat spectrum, still grows with y, and its derivative R' = J phi'' - J'' (phi - d^2)."""
-    j, dj, d2j, phi, dphi, d2phi = _seed_kernel(d, y)
+    (j, dj, d2j), (phi, dphi, d2phi) = family_xlogx(d, y), _phi(d, y)
     residual = j * dphi - dj * (phi - d * d)
     if np.isnan(residual).any():
         raise FloatingPointError(f"the tangent residual is NaN in dimension {d}")
@@ -186,15 +173,6 @@ def _arc_point(d: int, p: float, p_max: float) -> float:
     return float(min(max(root, 0.0), 1.0) ** 2)
 
 
-def _seed_info(d: int, y: float, i_max: float) -> float:
-    """J(nu(y)), exact at the ends: I_max (Jones) for the rank-one spectrum, 0 for the flat one."""
-    if y == 0.0:
-        return i_max
-    if y == 1.0:
-        return 0.0
-    return float(haar_xlogx(_family(d, y)[0]))
-
-
 @dataclass(frozen=True)
 class FrontierPoint:
     p: float
@@ -229,20 +207,21 @@ def frontier_curve(d: int, p_grid: list[float]) -> list[FrontierPoint]:
     i_max = info_finegrained_exact(d)
     # at d = 2 the arc is concave up to the flat spectrum, so there is no chord
     y_star = _tangent_point(d) if d > 2 else 1.0
-    p_star = (d * d - float(_family(d, y_star)[1])) / (d * d - 1)
-    j_star = _seed_info(d, y_star, i_max)
+    p_star = (d * d - float(_phi(d, y_star)[0])) / (d * d - 1)
+    qs = [min(max(p, 0.0), p_max) for p in p_grid]
+    ys = np.array([y_star] + [_arc_point(d, q, p_max) for q in qs if q >= p_star])
+    js = family_xlogx(d, ys)[0]
+    js[ys == 0.0], js[ys == 1.0] = i_max, 0.0  # exact at the ends: I_max (Jones) at rank one, 0 when flat
+    j_star, arc = float(js[0]), zip(ys[1:].tolist(), js[1:].tolist())
 
     points = []
-    for p in p_grid:
-        q = min(max(p, 0.0), p_max)
+    for p, q in zip(p_grid, qs):
         if q < p_star:  # the flagged mix of the flat spectrum and nu(y*)
             w = q / p_star
             seeds = [(1.0 - w, 1.0, 0.0), (w, y_star, j_star)] if w > 0 else [(1.0, 1.0, 0.0)]
         else:
-            y = _arc_point(d, q, p_max)
-            seeds = [(1.0, y, _seed_info(d, y, i_max))]
+            seeds = [(1.0, *next(arc))]
         info = sum(m * j for m, _, j in seeds)
-        spectra = _family(d, [y for _, y, _ in seeds])[0]
-        meta = {"seeds": [{"weight": m, "spectrum": nu.tolist()} for (m, _, _), nu in zip(seeds, spectra)]}
+        meta = {"seeds": [{"weight": m, "spectrum": [d - (d - 1) * y] + [y] * (d - 1)} for m, y, _ in seeds]}
         points.append(FrontierPoint(p, p * (d - 1) / d, info, i_max * p * (d + 1) / d, meta))
     return points

@@ -4,9 +4,10 @@ For the uniform (Haar) pure-state ensemble, every POVM whose effects are
 proportional to rank-one projectors yields the same mutual information,
 log d - sum_{k=1}^{d-1} 1/(1+k), independent of the weights. For any effect
 M the Haar average of q ln q, q = <psi|M|psi>, depends on the spectrum of M
-alone and is computed by ``haar_xlogx``; ``info_uniform_mc`` samples instead.
-Discrete ensembles are evaluated exactly. All internal logs are natural;
-reports can be rescaled to bits for display.
+alone and is computed by ``haar_xlogx``, and with its first two derivatives on
+the frontier's seed family by ``family_xlogx``: both run one trapezoid rule.
+``info_uniform_mc`` samples instead. Discrete ensembles are evaluated exactly.
+All internal logs are natural; reports can be rescaled to bits for display.
 """
 
 from __future__ import annotations
@@ -59,11 +60,18 @@ def info_finegrained_exact(d: int) -> float:
 
 
 # Trapezoid nodes t = e^u, u = -36, -35.5, ..., 36, for the integrals over t in (0, inf) in
-# haar_xlogx. As functions of u the integrands t g(t) are analytic in the strip |Im u| < pi
+# _subentropy_rule. As functions of u the integrands t g(t) are analytic in the strip |Im u| < pi
 # (their poles sit at u = ln nu_i +- i pi and +- i pi), so the rule converges geometrically
 # in 1/h, and past |u| = 36 they are below e^-36 times a polynomial in the spectrum.
 _T = np.exp(0.5 * np.arange(-72, 73))
 _T_RATIO = _T / (1.0 + _T)
+
+
+def _subentropy_rule(d: int, total, excess) -> np.ndarray:
+    """(int_0^inf [total / (1+t) + g(t)] dt - (H_d - 1) total) / d by the trapezoid rule in u = ln t,
+    dt = t du, h = 1/2, with ``excess`` = t g(t) on the nodes along the last axis: J for total = sum nu
+    and g = r - 1, and each derivative of J for the derivatives of sum nu and r."""
+    return (0.5 * (np.multiply.outer(total, _T_RATIO) + excess).sum(axis=-1) - _harmonic_tail(d) * total) / d
 
 
 def haar_xlogx(spectrum, gradient: bool = False):
@@ -82,16 +90,29 @@ def haar_xlogx(spectrum, gradient: bool = False):
     if np.any(nu < 0):
         raise ValueError("spectrum must be nonnegative")
     d = nu.shape[-1]
-    tail = _harmonic_tail(d)  # H_d - 1
-    total = nu.sum(axis=-1)
     ratio = nu[..., None, :] / _T[:, None]
     log_r = -np.log1p(ratio).sum(axis=-1)
-    # dt = t du, h = 1/2
-    j = (0.5 * (total[..., None] * _T_RATIO + np.expm1(log_r) * _T).sum(axis=-1) - tail * total) / d
+    j = _subentropy_rule(d, nu.sum(axis=-1), np.expm1(log_r) * _T)
     if not gradient:
         return j
-    pull = 0.5 * (_T_RATIO[:, None] - np.exp(log_r)[..., None] / (1.0 + ratio)).sum(axis=-2)
-    return j, (pull - tail) / d
+    return j, _subentropy_rule(d, np.ones_like(nu), -np.swapaxes(np.exp(log_r)[..., None] / (1.0 + ratio), -1, -2))
+
+
+def family_xlogx(d: int, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J, J' and J'' (' = d/dy) of ``haar_xlogx`` on the spectra nu(y) = (d - (d-1) y, y, ..., y), y in
+    [0, 1] of any shape (J'' diverges at y = 0), one entry per node whatever d is. With a = d - (d-1) y,
+    sum nu = d and ln r = -ln(1 + a/t) - (d-1) ln(1 + y/t): r' = r l1 and r'' = r (l1^2 + l1'),
+    l1 = (d-1) (1/(a+t) - 1/(y+t))."""
+    y = np.asarray(y, dtype=float)
+    if y.size > (rows := BLOCK_ENTRIES // _T.size):  # in blocks: the working memory is flat in y.size
+        blocks = [family_xlogx(d, y.ravel()[lo : lo + rows]) for lo in range(0, y.size, rows)]
+        return tuple(np.concatenate(parts).reshape(y.shape) for parts in zip(*blocks))
+    a = d - (d - 1) * y
+    log_r = -np.log1p(a[..., None] / _T) - (d - 1) * np.log1p(y[..., None] / _T)
+    tr, inv_a, inv_y = _T * np.exp(log_r), 1.0 / (a[..., None] + _T), 1.0 / (y[..., None] + _T)
+    l1 = (d - 1) * (inv_a - inv_y)
+    d2r = tr * (l1 * l1 + (d - 1) * ((d - 1) * inv_a * inv_a + inv_y * inv_y))
+    return _subentropy_rule(d, d, np.expm1(log_r) * _T), _subentropy_rule(d, 0, tr * l1), _subentropy_rule(d, 0, d2r)
 
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:

@@ -41,19 +41,17 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 def _size(value) -> int:
     """A size read from JSON as an int: ValueError for anything but an int or
-    a whole float, so for a boolean, a string, a fraction, an infinity (json
-    reads 1e400 as inf) or a NaN."""
+    a whole float of at least 1, so for a boolean, a string, a fraction, an
+    infinity (json reads 1e400 as inf), a NaN, zero or a negative number."""
     whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not whole:
-        raise ValueError(f"sizes must be whole numbers, got {value!r}")
+    if isinstance(value, bool) or not whole or value < 1:
+        raise ValueError(f"sizes must be whole numbers of at least 1, got {value!r}")
     return int(value)
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     rows, cols = _size(obj["rows"]), _size(obj["cols"])
     data = obj["data"]
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} does not equal rows*cols = {rows * cols}")
     pairs = np.asarray(data)

@@ -418,7 +418,7 @@ def test_frontier_dimension_over_the_cap_exit_1(tmp_path, monkeypatch, capsys):
         raise AssertionError("solved a dimension over the cap")
 
     monkeypatch.setattr(frontier, "_tangent_residual", no_solve)
-    monkeypatch.setattr(frontier, "haar_xlogx", no_solve)
+    monkeypatch.setattr(frontier, "family_xlogx", no_solve)
     capsys.readouterr()
     assert main(["frontier", "--d", str(FRONTIER_CAP + 1), "--out", str(tmp_path / "over.csv")]) == 1
     captured = capsys.readouterr()
@@ -494,6 +494,27 @@ def test_twirl_check_refuses_dimension_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("validation failure: ") and "at least 2, got 1" in captured.err
+
+
+def test_twirl_check_of_an_identity_povm(tmp_path, capsys):
+    # p* of {I/2, I/2} rounded to -3.0e-16, and depolarize ended the run in a ValueError traceback
+    path = tmp_path / "identity.json"
+    path.write_text(serialize.dumps(serialize.povm_to_json(qd.POVM(2, (np.eye(2, dtype=complex) / 2,) * 2))))
+    assert main(["twirl-check", "--povm", str(path), "--samples", "200"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["p_star"] == 0.0 and report["passed"] is True
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+@pytest.mark.parametrize("command", ["info", "disturbance", "twirl-check"])
+def test_povm_dimension_below_one_one_line_message(command, dim, tmp_path, capsys):
+    # povm_validate once ended in a "zero-size array" or "negative dimensions" traceback
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.dumps(serialize.povm_to_json(qd.basis_povm(2))).replace('"dim": 2', f'"dim": {dim}', 1))
+    assert main([command, "--povm", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("validation failure: ") and f"at least 1, got {dim}" in captured.err
 
 
 @pytest.mark.parametrize("size", ["1e400", "2.5", "true", '"2"', '" 2 "'])

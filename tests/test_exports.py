@@ -68,3 +68,14 @@ def test_every_exception_type_is_caught_by_name():
     caught = set().union(*map(_names_caught, USERS))
     assert {"InfodistError", "UsageError", "_Overflow"} <= defined
     assert sorted(defined - caught) == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name that starts with an underscore belongs to its module: a sibling that needs it gets a
+    public entry point instead, so each concept keeps one implementation behind one module."""
+    borrowed = []
+    for path in sorted((ROOT / "src" / "infodist").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("infodist")):
+                borrowed += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert borrowed == []

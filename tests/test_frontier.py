@@ -7,7 +7,7 @@ import pytest
 
 import infodist as qd
 from conftest import induced_effects
-from infodist import frontier
+from infodist import frontier, information
 from infodist.config import FRONTIER_CAP, GRID_SLACK, TANGENT_REL
 
 E0 = np.array([1, 0], dtype=complex)
@@ -186,12 +186,21 @@ def oracle_curve(d, p_grid, rng, restarts=16):
 # -- oracle: the chord's touch point y*(d) by bisection to adjacent doubles ----------------
 
 
+def family_spectra(d, y):
+    """The seed spectra nu(y) = (d - (d-1) y, y, ..., y), for y of any shape."""
+    y = np.asarray(y, dtype=float)
+    nu = np.repeat(y[..., None], d, axis=-1)
+    nu[..., 0] = d - (d - 1) * y
+    return nu
+
+
 def generic_tangent_residual(d, y):
     """J phi' - J' (phi - d^2) along the family from ``haar_xlogx`` on the full spectra nu(y), with J'
     its gradient contracted with dnu/dy = (-(d-1), 1, ..., 1): independent of the family kernel."""
-    nu, phi = frontier._family(d, y)
+    nu = family_spectra(d, y)
     j, grad = qd.haar_xlogx(nu, gradient=True)
     dj = grad[..., 1:].sum(axis=-1) - (d - 1) * grad[..., 0]
+    phi = (np.sqrt(nu[..., 0]) + (d - 1) * np.sqrt(y)) ** 2
     dphi = (d - 1) * np.sqrt(phi) * (1.0 / np.sqrt(y) - 1.0 / np.sqrt(nu[..., 0]))
     return j * dphi - dj * (phi - d * d)
 
@@ -278,6 +287,14 @@ def test_twirl_depolarizing_p_refuses_dimension_one():
     # p* = (1 - F_e) d^2 / (d^2 - 1) once divided by zero at d = 1
     with pytest.raises(qd.InfodistError, match="at least 2, got 1"):
         qd.twirl_depolarizing_p(qd.POVM(1, (np.eye(1, dtype=complex),)))
+
+
+@pytest.mark.parametrize("d, k", [(2, 2), (3, 2), (4, 2), (5, 2), (5, 5)])
+def test_twirl_depolarizing_p_of_an_identity_povm_is_zero(d, k):
+    # k effects I/k leave every state alone; F_e rounds to just above 1, and p* once came out as
+    # -3.0e-16 on {I/2, I/2}, which depolarize refuses
+    povm = qd.POVM(d, tuple(np.eye(d, dtype=complex) / k for _ in range(k)))
+    assert qd.twirl_depolarizing_p(povm) == 0.0
 
 
 def test_twirl_qubit_basis_depolarizes():
@@ -687,20 +704,21 @@ def test_tangent_point_memory_is_flat_in_d():
 
 @pytest.mark.parametrize("d", range(2, FRONTIER_CAP + 1))
 def test_seed_kernel_matches_haar_xlogx_and_its_own_differences(d):
-    # J and J' against the generic integral on the full spectra; J'', phi', phi'' and
-    # R' = J phi'' - J'' (phi - d^2) against central differences of J', phi, phi' and R
+    # J and J' against the generic integral on the full spectra, phi against the spectra's roots;
+    # J'', phi', phi'' and R' = J phi'' - J'' (phi - d^2) against central differences of J', phi, phi' and R
     ys = np.array([0.002, 0.02, 0.1, 0.4, 0.8, 0.98])
-    j, dj, d2j, phi, dphi, d2phi = frontier._seed_kernel(d, ys)
-    nu, phi_full = frontier._family(d, ys)
+    (j, dj, d2j), (phi, dphi, d2phi) = information.family_xlogx(d, ys), frontier._phi(d, ys)
+    nu = family_spectra(d, ys)
     j_full, grad = qd.haar_xlogx(nu, gradient=True)
     np.testing.assert_allclose(j, j_full, rtol=0, atol=1e-13)
     np.testing.assert_allclose(dj, grad @ np.r_[1 - d, np.ones(d - 1)], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(phi, phi_full, rtol=1e-15)
+    np.testing.assert_allclose(phi, (np.sqrt(nu[:, 0]) + (d - 1) * np.sqrt(nu[:, 1])) ** 2, rtol=1e-15)
     h = 1e-5 * ys
-    up, down = frontier._seed_kernel(d, ys + h), frontier._seed_kernel(d, ys - h)
-    np.testing.assert_allclose(d2j, (up[1] - down[1]) / (2 * h), rtol=1e-6)
-    np.testing.assert_allclose(dphi, (up[3] - down[3]) / (2 * h), rtol=1e-6)
-    np.testing.assert_allclose(d2phi, (up[4] - down[4]) / (2 * h), rtol=1e-6)
+    (_, up_dj, _), (up_phi, up_dphi, _) = information.family_xlogx(d, ys + h), frontier._phi(d, ys + h)
+    (_, down_dj, _), (down_phi, down_dphi, _) = information.family_xlogx(d, ys - h), frontier._phi(d, ys - h)
+    np.testing.assert_allclose(d2j, (up_dj - down_dj) / (2 * h), rtol=1e-6)
+    np.testing.assert_allclose(dphi, (up_phi - down_phi) / (2 * h), rtol=1e-6)
+    np.testing.assert_allclose(d2phi, (up_dphi - down_dphi) / (2 * h), rtol=1e-6)
     # R and R' are differences of two terms that cancel at y*, so they are compared on the terms' scale
     r, dr = frontier._tangent_residual(d, ys)
     r_scale = np.abs(j * dphi) + np.abs(dj * (phi - d * d))
@@ -715,7 +733,7 @@ def test_seed_arc_is_concave():
     # rests on
     for d in range(2, FRONTIER_CAP + 1):
         ys = np.linspace(0.0, 1.0, 62)[1:-1] if d == 2 else frontier._tangent_point(d) * np.arange(1, 61) / 60
-        _, dj, d2j, _, dphi, d2phi = frontier._seed_kernel(d, ys)
+        (_, dj, d2j), (_, dphi, d2phi) = information.family_xlogx(d, ys), frontier._phi(d, ys)
         assert ((d2j * dphi - dj * d2phi) / dphi**3 < 0).all(), d
 
 

@@ -111,6 +111,29 @@ def test_info_uniform_mc_memory_is_the_states_and_one_draw():
     assert peak < 2 * n * d * 16  # the states (6.4 MB) and the real parts they are drawn through
 
 
+def test_family_xlogx_in_blocks_matches_one_call_per_value():
+    # a long y is cut into blocks of BLOCK_ENTRIES // 145 values; each value's sums run alone, so the
+    # blocked result is the per-value one bit for bit, in y's own shape
+    ys = np.linspace(0.0, 1.0, 1001).reshape(7, 143)
+    blocked = information.family_xlogx(5, ys)
+    singles = np.array([information.family_xlogx(5, y) for y in ys.ravel()])
+    for k, values in enumerate(blocked):
+        assert values.shape == ys.shape
+        np.testing.assert_array_equal(values.ravel(), singles[:, k])
+
+
+def test_family_xlogx_memory_is_flat_in_the_number_of_values():
+    # one batch held 145 nodes per value in each of its ~10 working arrays: 23 MB per array here
+    ys = np.linspace(0.0, 1.0, 20_000)
+    tracemalloc.start()
+    try:
+        information.family_xlogx(3, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * ys.nbytes  # the three results twice over and one block's work arrays (about 2.5 MB)
+
+
 def test_info_report_units():
     rng = np.random.default_rng(55)
     report = qd.info_uniform_mc(qd.basis_povm(2), 5000, rng)
