@@ -20,6 +20,7 @@ import argparse
 import gc
 import json
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -53,12 +54,13 @@ class _Numbers(dict):
         return value
 
 
-def _read_json(path: str):
+def _read_json(path: str, object_hook=None):
     """The JSON value in ``path``, with the values ``json.loads`` gives, bit for
-    bit. Each distinct number text is parsed once; a file with more than
+    bit, each object passed through ``object_hook`` when one is given. Each
+    distinct number text is parsed once; a file with more than
     ``DISTINCT_NUMBERS`` distinct texts is parsed again by plain
     ``json.loads``, so the memo stays small. Read files through ``_load``,
-    which pauses the cyclic collector until the result is converted."""
+    which converts each matrix as its object closes."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -66,25 +68,42 @@ def _read_json(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         try:
-            return json.loads(text, parse_float=_Numbers().__getitem__)
+            return json.loads(text, parse_float=_Numbers().__getitem__, object_hook=object_hook)
         except _Overflow:  # leave the handler, so the memo is freed before the second parse
             pass
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # an integer of over 4,300 digits, or deep nesting
         raise UsageError(f"{path} is beyond what Python's JSON reader accepts: {exc}") from exc
 
 
+def _matrix_array(obj: dict) -> dict:
+    """json object hook: a matrix object's ``data`` list as ``np.asarray``
+    makes it, so its ``[re, im]`` lists are dropped as soon as the object
+    closes. Data numpy refuses stays a list, and ``matrix_from_json`` refuses
+    it, with numpy's message, where it would have anyway."""
+    data = obj.get("data")
+    if isinstance(data, list) and "rows" in obj and "cols" in obj:
+        try:
+            obj["data"] = np.asarray(data)
+        except (ValueError, TypeError):  # ragged pairs, or nesting deeper than numpy's dimensions
+            pass
+    return obj
+
+
 def _load(path: str, convert):
-    """``convert`` of the JSON value in ``path``, with the cyclic collector
-    paused until it returns or raises and restored on every path: a parse
-    makes one list per matrix entry, none in a cycle, which the collector
-    would only rescan until they are converted to arrays and dropped."""
+    """``convert`` of the JSON value in ``path``, each matrix's data made an
+    array as the parse closes the matrix's object: at most one matrix's
+    ``[re, im]`` lists exist at once, beside the file's text. The cyclic
+    collector is paused until ``convert`` returns or raises and restored on
+    every path: a parse makes one list per matrix entry, none in a cycle,
+    which the collector would only rescan until they are converted and
+    dropped."""
     collecting = gc.isenabled()
     gc.disable()
     try:  # the parsed JSON, an argument only, is dropped before the collector resumes
-        return convert(_read_json(path))
+        return convert(_read_json(path, _matrix_array))
     finally:
         if collecting:
             gc.enable()
@@ -106,20 +125,22 @@ def _load_povm(path: str) -> POVM:
     return povm
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write ``pieces`` in order to ``out`` or stdout. JSON arrives as the
+    pieces of ``serialize.iterdumps``, so it is never held whole."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def cmd_mub(args) -> None:
     mub = wootters_fields_mub(args.p, args.n)
-    _emit(serialize.dumps(serialize.mubset_to_json(mub, p=args.p, n=args.n)), args.out)
+    _emit(serialize.iterdumps(serialize.mubset_to_json(mub, p=args.p, n=args.n)), args.out)
 
 
 def _read_vectors(path: str) -> np.ndarray:
@@ -141,7 +162,7 @@ def _read_vectors(path: str) -> np.ndarray:
 
 def cmd_design_check(args) -> None:
     delta = design_check(_read_vectors(args.infile))
-    _emit(f"squared distance from the Haar second moment, ||D - Pi||_F^2 d(d+1)/2: {delta:.17g}\n", args.out)
+    _emit([f"squared distance from the Haar second moment, ||D - Pi||_F^2 d(d+1)/2: {delta:.17g}\n"], args.out)
     if not delta < DESIGN:  # a NaN distance fails too
         raise InfodistError(f"vectors are not a 2-design (distance {delta:.3e} >= {DESIGN:.0e})")
 
@@ -160,7 +181,7 @@ def cmd_disturbance(args) -> None:
             )
         design = wootters_fields_mub(*pp).vectors()
         report = avg_fidelity_design(sqrt_instrument(povm), design)
-    _emit(serialize.dumps(serialize.report_to_json(report)), args.out)
+    _emit(serialize.iterdumps(serialize.report_to_json(report)), args.out)
 
 
 def cmd_info(args) -> None:
@@ -168,7 +189,7 @@ def cmd_info(args) -> None:
     report = info_uniform_mc(povm, args.samples, np.random.default_rng(args.seed))
     if args.bits:
         report = report.in_bits()
-    _emit(serialize.dumps(serialize.report_to_json(report)), args.out)
+    _emit(serialize.iterdumps(serialize.report_to_json(report)), args.out)
 
 
 def cmd_frontier(args) -> None:
@@ -176,8 +197,8 @@ def cmd_frontier(args) -> None:
     points = frontier_curve(args.d, grid)
     csv = serialize.frontier_to_csv(points)
     if args.json is not None:  # first, so a --json that cannot be written leaves no finished-looking CSV
-        _emit(serialize.dumps(serialize.frontier_to_json(points)), args.json)
-    _emit(csv, args.out)
+        _emit(serialize.iterdumps(serialize.frontier_to_json(points)), args.json)
+    _emit([csv], args.out)
 
 
 def cmd_twirl_check(args) -> None:
@@ -203,7 +224,7 @@ def cmd_twirl_check(args) -> None:
         "worst_ratio_of_5stderr": worst,
         "passed": passed,
     }
-    _emit(serialize.dumps(result), args.out)
+    _emit(serialize.iterdumps(result), args.out)
     if not passed:
         raise InfodistError(
             f"twirled channel deviates from the depolarizing form by {worst:.2f}x the 5-stderr band"

@@ -6,10 +6,12 @@ shape (rows * cols, 2); on disk it is that list of pairs.
 
 JSON output is defined as the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2)`` plus a newline, with every array rendered as its ``tolist()``.
-``dumps`` writes exactly those bytes in one pass, appending every piece to
-one list and joining it once. A matrix payload is laid out in bulk: each
+``iterdumps`` yields exactly those bytes in one pass, piece by piece in the
+order they are laid out, so a writer holds one matrix payload at a time;
+``dumps`` joins the pieces. A matrix payload is laid out in bulk: each
 distinct [re, im] pair is formatted once and the indented pairs are joined
-by one ``str.join``. Dicts, lists and scalars keep json's own rendering.
+into one piece by one ``str.join``. Dicts, lists and scalars keep json's
+own rendering.
 CSV output uses 17 significant digits, '.' decimals and LF line endings so
 doubles round-trip losslessly.
 """
@@ -17,6 +19,7 @@ doubles round-trip losslessly.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import asdict
 
 import numpy as np
@@ -90,12 +93,12 @@ def frontier_to_json(points: list[FrontierPoint]) -> list[dict]:
     return [asdict(pt) for pt in points]
 
 
-def _write_pairs(pairs: np.ndarray, pad: str, out: list[str]) -> None:
-    """Append an (n, 2) float array as json's indented list of [re, im] pairs."""
+def _write_pairs(pairs: np.ndarray, pad: str) -> Iterator[str]:
+    """Yield an (n, 2) float array as json's indented list of [re, im] pairs."""
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype != float:
         raise TypeError(f"cannot encode an array of shape {pairs.shape} and dtype {pairs.dtype}")
     if not len(pairs):
-        out.append("[]")
+        yield "[]"
         return
     # one text per distinct pair of bit patterns, so -0.0 and each NaN stay apart
     bits, parts = np.unique(np.ascontiguousarray(pairs).view(np.int64), return_inverse=True)
@@ -105,25 +108,29 @@ def _write_pairs(pairs: np.ndarray, pad: str, out: list[str]) -> None:
     texts = [json.dumps(x) for x in bits.view(float).tolist()]
     inner, entry = pad + "  ", pad + "    "
     pair = np.array([f"{texts[k // m]},\n{entry}{texts[k % m]}" for k in keys.tolist()], dtype=object)
-    out += [f"[\n{inner}[\n{entry}", f"\n{inner}],\n{inner}[\n{entry}".join(pair[where].tolist()), f"\n{inner}]\n{pad}]"]
+    yield f"[\n{inner}[\n{entry}"
+    yield f"\n{inner}],\n{inner}[\n{entry}".join(pair[where].tolist())
+    yield f"\n{inner}]\n{pad}]"
 
 
-def _write(obj, pad: str, out: list[str]) -> None:
-    """Append ``obj`` as json writes it ``pad`` deep. A subtree json can
+def _write(obj, pad: str) -> Iterator[str]:
+    """Yield ``obj`` as json writes it ``pad`` deep. A subtree json can
     encode is json's own text, re-indented (JSON strings hold no raw
     newline); json cannot encode arrays, so a container holding one is laid
     out here."""
     if isinstance(obj, np.ndarray):
-        _write_pairs(obj, pad, out)
+        yield from _write_pairs(obj, pad)
         return
     if not isinstance(obj, (dict, list, tuple)):
-        out.append(json.dumps(obj))  # a scalar's text does not depend on its depth
+        yield json.dumps(obj)  # a scalar's text does not depend on its depth
         return
     try:
-        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad))
-        return
+        text = json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
     except TypeError:
         pass
+    else:
+        yield text
+        return
     if isinstance(obj, dict):
         items, brackets = [], "{}"
         for key, value in sorted(obj.items()):
@@ -133,20 +140,25 @@ def _write(obj, pad: str, out: list[str]) -> None:
             items.append((json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", value))
     else:
         items, brackets = [("", value) for value in obj], "[]"
-    out.append(brackets[0])
+    yield brackets[0]
     for i, (name, value) in enumerate(items):
-        out.append(f"{',' if i else ''}\n{pad}  {name}")
-        _write(value, pad + "  ", out)
-    out.append(f"\n{pad}{brackets[1]}")
+        yield f"{',' if i else ''}\n{pad}  {name}"
+        yield from _write(value, pad + "  ")
+    yield f"\n{pad}{brackets[1]}"
+
+
+def iterdumps(obj) -> Iterator[str]:
+    """Yield the text of ``dumps(obj)`` piece by piece, in the order it is
+    laid out, so a writer holds one matrix payload at a time."""
+    yield from _write(obj, "")
+    yield "\n"
 
 
 def dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, byte for
-    byte, with matrix payloads (float arrays) written in bulk."""
-    out: list[str] = []
-    _write(obj, "", out)
-    out.append("\n")
-    return "".join(out)
+    byte, with matrix payloads (float arrays) written in bulk: the pieces of
+    ``iterdumps`` joined. The CLI writes the pieces as they come instead."""
+    return "".join(iterdumps(obj))
 
 
 def frontier_to_csv(points: list[FrontierPoint]) -> str:
