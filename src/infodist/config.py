@@ -36,7 +36,10 @@ FRONTIER_CAP   : largest dimension d of ``frontier_curve``; the arc's
 BLOCK_ENTRIES  : entries per row block (512 kB if complex): ``haar_states``
                  normalises, ``info_uniform_mc`` and ``avg_fidelity_mc``
                  score their states, and ``family_xlogx`` its y values (145
-                 nodes each) in such blocks, so memory is flat in the count
+                 nodes each) in such blocks; only those temporaries are flat
+                 in the count, not the n states and n scores kept (peak 6.5
+                 MB at d = 2, n = 1e5; 48 MB at 1e6). ``twirl_channel`` is
+                 not blocked (5.8 MB at d = 3, n = 1e4; 58 MB at 1e5)
 DISTINCT_NUMBERS : distinct number texts the JSON reader parses once each
                  and shares; the d = 49 ``mub`` file holds 14 among its
                  240,100 numbers, and no ``mub`` file more than 91 (d = 47).

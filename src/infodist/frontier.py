@@ -94,20 +94,24 @@ def twirl_depolarizing_p(povm: POVM) -> float:
 def twirl_channel(povm: POVM, rho: np.ndarray, n_samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo Haar twirl of the square-root instrument's channel.
 
-    Averages U sqrt(F_b) U† rho U sqrt(F_b) U† over Haar unitaries; the
-    limit is ``depolarize(rho, twirl_depolarizing_p(povm))``. Returns the
-    mean and, as one complex array, the per-entry standard errors of its
-    real and imaginary parts.
+    Averages U sqrt(F_b) U† rho U sqrt(F_b) U† over Haar unitaries; the limit is
+    ``depolarize(rho, twirl_depolarizing_p(povm))``. Returns the mean and, as one complex array, the
+    per-entry standard errors of its real and imaginary parts. The samples are kept batch-last,
+    (d, d, n), so each conjugation is one einsum over the contiguous batch axis.
     """
     rho = np.asarray(rho, dtype=complex)
     d = povm.dim
     # sum_b (U r_b U†) rho (U r_b U†) = U L(U† rho U) U† with L(X) = sum_b r_b X r_b,
     # r_b = sqrt(F_b); on row-major vec(X), vec(r X r) = (r kron r^T) vec(X)
     superop = sum(np.kron(r, r.T) for r in map(mat_sqrt, povm.effects))
-    us = haar_unitaries(d, n_samples, rng)
-    uds = us.conj().transpose(0, 2, 1)
-    inner = ((uds @ rho @ us).reshape(n_samples, d * d) @ superop.T).reshape(n_samples, d, d)
-    vals = us @ inner @ uds
+    us = haar_unitaries(d, n_samples, rng).transpose(1, 2, 0)  # the batch-last array itself
+    ucs = us.conj()
+    x = np.einsum("jin,jkn->ikn", ucs, (rho @ us.reshape(d, d * n_samples)).reshape(d, d, n_samples))
+    x = (superop @ x.reshape(d * d, n_samples)).reshape(d, d, n_samples)
+    x = np.einsum("ijn,jkn->ikn", us, x)
+    vals = np.empty((n_samples, d, d), complex)
+    np.einsum("ijn,kjn->ikn", x, ucs, out=vals.transpose(1, 2, 0))
+    del us, ucs, x  # the standard error's temporary is as large as each of these
     # viewed as (n, d, 2d) reals, each real and each imaginary part is a sample of its own
     mean, stderr = mean_stderr(vals.view(float))
     return mean.view(complex), stderr.view(complex)

@@ -2,7 +2,8 @@
 
 Hermitian eigendecomposition with a fixed phase convention, operator square
 roots with support truncation, Haar sampling and the standard error of a
-sample mean.
+sample mean. Haar unitaries and random isometries share one Ginibre-QR
+kernel: Gram-Schmidt, run twice, on a batch-last (m, d, n) stack.
 Everything works on plain complex numpy arrays and takes an explicit
 ``numpy.random.Generator`` where randomness is involved, so results are
 reproducible bit for bit from a seed.
@@ -97,24 +98,31 @@ def haar_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return z
 
 
-def _rephased_qr(z: np.ndarray) -> np.ndarray:
-    """Q of the QR decomposition of each matrix in ``z``, its columns rephased
-    by the diagonal of R. For Ginibre ``z`` this is Haar; plain QR is not."""
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+def _orthonormal_columns(z: np.ndarray) -> np.ndarray:
+    """Q, with a positive real diagonal of R, of the QR decomposition of each (m, d) matrix in the
+    batch-last stack ``z``, shape (m, d, n), written over ``z``; Haar for Ginibre ``z`` (Mezzadri,
+    Notices AMS 54, 592, 2007). Classical Gram-Schmidt twice per column keeps Q unitary to rounding
+    (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 1069, 2005)."""
+    for j, v in enumerate(z.transpose(1, 0, 2)):  # v = z[:, j], each einsum runs over the batch axis
+        for _ in range(2 if j else 0):
+            v -= np.einsum("mjn,jn->mn", z[:, :j], np.einsum("mjn,mn->jn", z[:, :j].conj(), v))
+        v /= np.sqrt(np.einsum("mn,mn->n", v.real, v.real) + np.einsum("mn,mn->n", v.imag, v.imag))
+    return z
 
 
 def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` independent Haar unitaries, shape (n, d, d), from complex Ginibre
-    matrices (each draws its real, then its imaginary part)."""
-    g = rng.standard_normal((n, 2, d, d))
-    return _rephased_qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+    """``n`` independent Haar unitaries, shape (n, d, d), from complex Ginibre matrices (each draws
+    its real, then its imaginary part); a transposed view of a contiguous (d, d, n) array."""
+    g = rng.standard_normal((n, 2, d, d)).transpose(1, 2, 3, 0)
+    z = np.empty((d, d, n), complex)
+    z.real, z.imag = g[0], g[1]
+    return _orthonormal_columns(z).transpose(2, 0, 1)
 
 
 def random_stinespring_isometry(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Random (k*d, d) isometry; its d x d blocks form a random channel."""
-    return _rephased_qr(rng.standard_normal((k * d, d)) + 1j * rng.standard_normal((k * d, d)))
+    z = rng.standard_normal((k * d, d)) + 1j * rng.standard_normal((k * d, d))
+    return _orthonormal_columns(z[..., None])[..., 0]
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -79,3 +79,16 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("infodist")):
                 borrowed += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert borrowed == []
+
+
+def test_one_ginibre_qr_sampler():
+    """Haar unitaries and random isometries both come from ``linalg._orthonormal_columns``: no
+    module calls LAPACK's QR, by attribute or by a name imported from ``numpy.linalg``."""
+    calls = []
+    for path in sorted((ROOT / "src" / "infodist").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "qr":
+                calls.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg") and "qr" in {a.name for a in node.names}:
+                calls.append(f"{path.name}:{node.lineno}: from {node.module} import qr")
+    assert calls == []

@@ -338,6 +338,19 @@ def test_twirl_channel_matches_the_loop(d):
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
+def test_twirl_channel_memory_stays_at_four_stacks():
+    # each (d, d, n) complex stack of 10^4 d = 3 samples takes 1.44 MB; at most four are alive at once
+    # (5.8 MB), where the stacked (n, d, d) matmul pipeline peaked at 7.8 MB
+    povm, rho = qd.random_povm(3, 4, np.random.default_rng(81)), qd.random_density(3, np.random.default_rng(82))
+    tracemalloc.start()
+    try:
+        qd.twirl_channel(povm, rho, 10_000, np.random.default_rng(83))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.8e6
+
+
 def test_twirl_consistency_identities():
     # 1 - p*(d-1)/d equals the best average fidelity, through
     # F_avg = (d F_e + 1)/(d + 1), exactly on the closed forms

@@ -205,43 +205,50 @@ def test_haar_unitary_is_unitary():
         assert np.abs(u.conj().T @ u - np.eye(5)).max() < 1e-10
 
 
-def test_haar_unitaries_bit_identical_to_per_matrix_loop():
-    # the one-at-a-time Ginibre-QR sampler haar_unitaries replaced
-    def one(d, rng):
-        z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-        q, r = np.linalg.qr(z)
-        diag = np.diagonal(r)
-        return q * (diag / np.abs(diag))
+def _assert_rephased_qr(q, z):
+    """Q is the Q of z's QR decomposition whose R has a positive real diagonal, for each matrix of
+    the stacks q and z. LAPACK's QR, rephased by the diagonal of its R, is the reference oracle."""
+    eye = np.eye(q.shape[-1])
+    assert np.abs(q.conj().swapaxes(-1, -2) @ q - eye).max(initial=0.0) <= 1e-14
+    r = q.conj().swapaxes(-1, -2) @ z
+    band = 1e-12 * np.linalg.norm(z, axis=(-2, -1))[..., None, None]
+    assert np.all(np.abs(np.tril(r, -1)) <= band)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.all(diag.real > 0) and np.all(np.abs(diag.imag) <= band[..., 0])
+    lq, lr = np.linalg.qr(z)
+    ld = np.diagonal(lr, axis1=-2, axis2=-1)
+    assert np.abs(q - lq * (ld / np.abs(ld))[..., None, :]).max(initial=0.0) <= 1e-12
 
+
+def test_haar_unitaries_batch_equals_one_at_a_time():
     for d in (1, 2, 3, 5, 10):
-        for n in (1, 4, 9):
-            rng, rng_ref = np.random.default_rng(d * 100 + n), np.random.default_rng(d * 100 + n)
-            assert np.array_equal(qd.haar_unitaries(d, n, rng), np.stack([one(d, rng_ref) for _ in range(n)]))
-            assert np.array_equal(qd.haar_unitaries(d, 1, rng)[0], one(d, rng_ref))
-            assert rng.random() == rng_ref.random()  # same stream position afterwards
+        for n in (0, 1, 4, 9):
+            rng, rng_one, rng_draws = (np.random.default_rng(d * 100 + n) for _ in range(3))
+            batch = qd.haar_unitaries(d, n, rng)
+            assert batch.shape == (n, d, d)
+            assert np.array_equal(batch, np.array([qd.haar_unitaries(d, 1, rng_one)[0] for _ in range(n)]).reshape(n, d, d))
+            rng_draws.standard_normal((n, 2, d, d))  # the draws alone, real part then imaginary part
+            assert rng.bit_generator.state == rng_one.bit_generator.state == rng_draws.bit_generator.state
 
 
-def test_samplers_bit_identical_to_separate_qr_code():
-    # haar_unitaries and random_stinespring_isometry each carried their own
-    # rephased QR before sharing one; these are those two bodies
-    def unitaries(d, n, rng):
-        g = rng.standard_normal((n, 2, d, d))
-        q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
-        diag = np.diagonal(r, axis1=1, axis2=2)
-        return q * (diag / np.abs(diag))[:, None, :]
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 10, 49])
+def test_haar_unitaries_are_the_rephased_qr_of_their_draws(d):
+    n = 20 if d == 49 else 200
+    rng, rng_ref = np.random.default_rng(d), np.random.default_rng(d)
+    q = qd.haar_unitaries(d, n, rng)
+    g = rng_ref.standard_normal((n, 2, d, d))
+    _assert_rephased_qr(q, g[:, 0] + 1j * g[:, 1])
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
-    def isometry(d, k, rng):
-        z = rng.standard_normal((k * d, d)) + 1j * rng.standard_normal((k * d, d))
-        q, r = np.linalg.qr(z)
-        diag = np.diagonal(r)
-        return q * (diag / np.abs(diag))
 
+def test_stinespring_isometry_is_the_rephased_qr_of_its_draws():
     for d in (1, 2, 3, 5):
-        for m in (1, 2, 4):
-            rng, rng_ref = np.random.default_rng(d * 10 + m), np.random.default_rng(d * 10 + m)
-            assert np.array_equal(qd.haar_unitaries(d, m, rng), unitaries(d, m, rng_ref))
-            assert np.array_equal(qd.random_stinespring_isometry(d, m, rng), isometry(d, m, rng_ref))
-            assert rng.random() == rng_ref.random()
+        for k in (1, 2, 4):
+            rng, rng_ref = np.random.default_rng(d * 10 + k), np.random.default_rng(d * 10 + k)
+            m = qd.random_stinespring_isometry(d, k, rng)
+            assert m.shape == (k * d, d)
+            _assert_rephased_qr(m, rng_ref.standard_normal((k * d, d)) + 1j * rng_ref.standard_normal((k * d, d)))
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_random_density_is_a_state_drawn_real_part_first():
