@@ -26,7 +26,7 @@ GOLDEN = {
     "disturbance-exact": "65b04cea36c81867ad4af3231687b40d514842e64fd0fec6a2bd245e0d3b6afb",
     "disturbance-mc": "662d02914add1cc6524c7943b351fb7000f97a3e6a6674920ec47e1076fe1b4b",
     "disturbance-design": "42728f3d2da653256cbda68258be5fa0ce43830370bb5e051a93ef3ec9a5bea7",
-    "twirl-check": "1edb1a9379639339f3b9912c8ebc776940aa170d9e72699903a3283d0a742861",
+    "twirl-check": "599c4da7628d65c57c4b323d842a6c368fa9eb271bd0923c381be5b960d76ebe",
     "frontier-csv": "ebc051f41d94ccb0842543ca258a54d025ed49ae1f8d04f9d30780920ed6c270",
     "frontier-json": "ea3f77c1e1d3ab80f2d17b0f1ea399c7086cecf3987b8b137a46a81d8934c48c",
 }
