@@ -9,7 +9,7 @@ cross-checks and for integrands beyond degree two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ def pair_moment(a: np.ndarray, b: np.ndarray) -> complex:
     return complex((np.trace(a) * np.trace(b) + np.trace(a @ b)) / (d * (d + 1)))
 
 
-@dataclass(frozen=True)
-class DisturbanceReport:
+class DisturbanceReport(NamedTuple):
     avg_fidelity: float
     disturbance: float
     method: str  # "exact-pi" | "monte-carlo" | "design"

@@ -34,7 +34,7 @@ the same function, with I_max at rank one and 0 at the flat end set exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,8 +177,7 @@ def _arc_point(d: int, p: float, p_max: float) -> float:
     return float(min(max(root, 0.0), 1.0) ** 2)
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
+class FrontierPoint(NamedTuple):
     p: float
     disturbance: float
     info_lower_bound: float

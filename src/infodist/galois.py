@@ -17,8 +17,8 @@ the Haar one, from the Gram matrix of the vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ def odd_prime_power(d: int) -> tuple[int, int] | None:
 # -- GF(p^n) as integer tables -----------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FieldSpec:
+class FieldSpec(NamedTuple):
     """GF(p^n) presented by a monic irreducible modulus (constant first).
 
     ``add[a, b]``, ``mul[a, b]`` and ``trace[a]`` are read-only integer
@@ -71,6 +70,8 @@ class FieldSpec:
     add: np.ndarray
     mul: np.ndarray
     trace: np.ndarray
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__  # by identity: tables do not hash
 
 
 def _digits(p: int, n: int) -> np.ndarray:
@@ -136,8 +137,7 @@ def find_irreducible(p: int, n: int) -> FieldSpec:
 # -- mutually unbiased bases -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MubSet:
+class MubSet(NamedTuple):
     """d+1 orthonormal bases with all cross-basis overlaps of modulus
     1/sqrt(d). Basis index d is the standard basis; columns are vectors."""
 
@@ -162,16 +162,15 @@ def wootters_fields_mub(p: int, n: int) -> MubSet:
 
     In the standard basis, vector j of basis k has l-th component
     omega^(Tr[k l^2 + j l]) / sqrt(d) with omega = exp(2 pi i / p).
-    Dimensions above ``config.MUB_CAP`` are refused.
+    Dimensions above ``config.MUB_CAP`` are refused before p is tested for
+    primality, and no power beyond the cap is formed.
     """
     if p == 2:
         raise InfodistError("even prime unsupported: the construction needs odd characteristic")
-    if not is_prime(p):
-        raise InfodistError(f"{p} is not prime")
+    if p > 2 and (p > MUB_CAP or n > MUB_CAP.bit_length() or p**n > MUB_CAP):
+        raise InfodistError(f"dimension {p}^{n} exceeds the configured cap {MUB_CAP}")
+    _, s_table, t_table = _trace_tables(p, n)  # refuses a p that is not prime and an n below 1
     d = p**n
-    if d > MUB_CAP:
-        raise InfodistError(f"dimension {d} exceeds the configured cap {MUB_CAP}")
-    _, s_table, t_table = _trace_tables(p, n)
     # roots of unity from exact angles, exponents reduced mod p first
     omega = np.exp(2j * np.pi * np.arange(p) / p)
     bases = []

@@ -12,7 +12,7 @@ All internal logs are natural; reports can be rescaled to bits for display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .measurement import POVM
 LN2 = float(np.log(2.0))
 
 
-@dataclass(frozen=True)
-class InfoReport:
+class InfoReport(NamedTuple):
     mutual_info: float
     h_b: float
     h_b_given_psi: float
@@ -36,15 +35,9 @@ class InfoReport:
     def in_bits(self) -> "InfoReport":
         if self.log_base == "bits":
             return self
-        return InfoReport(
-            self.mutual_info / LN2,
-            self.h_b / LN2,
-            self.h_b_given_psi / LN2,
-            self.method,
-            None if self.stderr is None else self.stderr / LN2,
-            self.samples,
-            "bits",
-        )
+        stderr = None if self.stderr is None else self.stderr / LN2
+        scaled = {k: getattr(self, k) / LN2 for k in ("mutual_info", "h_b", "h_b_given_psi")}
+        return self._replace(**scaled, stderr=stderr, log_base="bits")
 
 
 def _harmonic_tail(d: int) -> float:

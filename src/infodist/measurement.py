@@ -5,12 +5,13 @@ outcome is named only by its index b. An instrument assigns to each
 outcome a list of Kraus operators; the b-th conditional operation is
 rho -> sum_i A_bi rho A_bi† and the effects it induces are
 F_b = sum_i A_bi† A_bi. Both objects are immutable containers of complex
-numpy arrays, and every refusal of invalid input is an InfodistError.
+numpy arrays, checked on construction; ``len`` of a POVM is its outcome
+count, and every refusal of invalid input is an InfodistError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,41 +20,49 @@ from .errors import InfodistError
 from .linalg import dagger, gen_inv_sqrt, herm_eig, mat_sqrt, require_square, validate_distribution
 
 
-@dataclass(frozen=True)
-class POVM:
-    dim: int
-    effects: tuple[np.ndarray, ...]
+class _Record:
+    """Fields fixed by ``__init__``: assigning or deleting one raises AttributeError."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "effects", tuple(np.asarray(e, dtype=complex) for e in self.effects))
-        for e in self.effects:
-            if e.shape != (self.dim, self.dim):
-                raise InfodistError(f"effect shape {e.shape} does not match dim {self.dim}")
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class POVM(_Record):
+    __slots__ = ("dim", "effects")
+
+    def __init__(self, dim: int, effects):
+        effects = tuple(np.asarray(e, dtype=complex) for e in effects)
+        for e in effects:
+            if e.shape != (dim, dim):
+                raise InfodistError(f"effect shape {e.shape} does not match dim {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "effects", effects)
 
     def __len__(self) -> int:
         return len(self.effects)
 
 
-@dataclass(frozen=True)
-class Instrument:
-    dim: int
-    branches: tuple[tuple[np.ndarray, ...], ...]
+class Instrument(_Record):
+    __slots__ = ("dim", "branches")
 
-    def __post_init__(self):
-        norm = tuple(tuple(np.asarray(a, dtype=complex) for a in br) for br in self.branches)
-        object.__setattr__(self, "branches", norm)
-        for br in self.branches:
-            for a in br:
-                if a.shape != (self.dim, self.dim):
-                    raise InfodistError(f"Kraus shape {a.shape} does not match dim {self.dim}")
+    def __init__(self, dim: int, branches):
+        branches = tuple(tuple(np.asarray(a, dtype=complex) for a in br) for br in branches)
+        for a in (a for br in branches for a in br):
+            if a.shape != (dim, dim):
+                raise InfodistError(f"Kraus shape {a.shape} does not match dim {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "branches", branches)
 
     def kraus_ops(self) -> list[np.ndarray]:
         """All Kraus operators flattened across branches."""
         return [a for br in self.branches for a in br]
 
 
-@dataclass(frozen=True)
-class PovmDiagnostics:
+class PovmDiagnostics(NamedTuple):
     """Residuals from validating a POVM against its defining constraints."""
 
     max_hermiticity_violation: float

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import asdict
 
 import numpy as np
 
@@ -86,11 +85,11 @@ def mubset_from_json(obj: dict) -> MubSet:
 
 
 def report_to_json(report: DisturbanceReport | InfoReport) -> dict:
-    return asdict(report)
+    return report._asdict()
 
 
 def frontier_to_json(points: list[FrontierPoint]) -> list[dict]:
-    return [asdict(pt) for pt in points]
+    return [pt._asdict() for pt in points]
 
 
 def _write_pairs(pairs: np.ndarray, pad: str) -> Iterator[str]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import infodist as qd
-from infodist import cli, frontier, serialize
+from infodist import cli, frontier, galois, serialize
 from infodist.config import DISTINCT_NUMBERS, FRONTIER_CAP
 from infodist.cli import main
 
@@ -57,9 +57,27 @@ def test_mub_rejects_even_prime(capsys):
         (["--p", "1"], "1 is not prime"),
         (["--p", "11", "--n", "2"], "exceeds the configured cap"),
         (["--p", "3", "--n", "0"], "extension degree must be at least 1"),
+        (["--p", "4"], "4 is not prime"),
+        (["--p", "-3"], "-3 is not prime"),
     ],
 )
 def test_mub_bad_input_one_line_message(argv, message, capsys):
+    assert main(["mub", *argv]) == 1
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--p", "100000000000031"], "dimension 100000000000031^1 exceeds the configured cap 49"),
+        (["--p", "3", "--n", "1000000"], "dimension 3^1000000 exceeds the configured cap 49"),
+    ],
+)
+def test_mub_refuses_oversize_input_at_once(argv, message, capsys, monkeypatch):
+    """Neither a trial division up to sqrt(p) nor a power with a million digits: the cap is tested
+    on p and n first."""
+    monkeypatch.setattr(galois, "is_prime", lambda p: pytest.fail(f"is_prime({p}) was called"))
     assert main(["mub", *argv]) == 1
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1 and "Traceback" not in err

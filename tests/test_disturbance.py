@@ -78,6 +78,18 @@ def test_min_disturbance_equals_sqrt_instrument_fidelity():
         assert a == pytest.approx(b, abs=1e-12)
 
 
+def test_min_disturbance_is_the_twirl_p_star_rescaled():
+    """Both are (d^2 - sum_b (tr sqrt F_b)^2) over a constant: D_min = p* (d - 1) / d on 1,000
+    seeded POVMs over every d = 2..8 and 2..5 outcomes."""
+    rng = np.random.default_rng(35)
+    gaps = []
+    for i in range(1000):
+        d, k = 2 + i % 7, 2 + i % 4
+        povm = qd.random_povm(d, k, rng)
+        gaps.append(qd.min_disturbance_uniform(povm).disturbance - qd.twirl_depolarizing_p(povm) * (d - 1) / d)
+    assert np.max(np.abs(gaps)) <= 1e-15  # np.max propagates NaN, which fails
+
+
 def test_avg_fidelity_mc_identity_and_basis():
     rng = np.random.default_rng(34)
     rep = qd.avg_fidelity_mc(identity_instrument(3), 100, rng)

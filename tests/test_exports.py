@@ -92,3 +92,16 @@ def test_one_ginibre_qr_sampler():
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg") and "qr" in {a.name for a in node.names}:
                 calls.append(f"{path.name}:{node.lineno}: from {node.module} import qr")
     assert calls == []
+
+
+def test_no_module_imports_dataclasses():
+    """The record types are named tuples and ``__slots__`` classes: ``@dataclass`` generates and
+    ``exec``s its methods when the module is imported, in every new CLI process."""
+    imports = []
+    for path in sorted((ROOT / "src" / "infodist").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            imports += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert imports == []

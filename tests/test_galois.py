@@ -175,6 +175,13 @@ def test_mub_rejects_even_prime_and_cap():
     qd.wootters_fields_mub(7, 2)  # at the cap is allowed
 
 
+@pytest.mark.parametrize("p,n", [(MUB_CAP + 1, 1), (53, 1), (10**18 + 9, 1), (10**18 + 9, 10**9), (3, 10**9), (7, 3)])
+def test_mub_cap_is_tested_before_primality(p, n, monkeypatch):
+    monkeypatch.setattr(galois, "is_prime", lambda q: pytest.fail(f"is_prime({q}) was called"))
+    with pytest.raises(qd.InfodistError, match=rf"^dimension {p}\^{n} exceeds the configured cap {MUB_CAP}$"):
+        qd.wootters_fields_mub(p, n)
+
+
 def test_design_operator_single_vector():
     e0 = np.array([1, 0], dtype=complex)
     out = qd.design_operator(np.array([e0]))
