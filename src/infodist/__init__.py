@@ -43,6 +43,7 @@ from .disturbance import (
     pair_moment,
     restore_counterexample,
     superadditivity_margin,
+    twirl_depolarizing_p,
 )
 from .information import (
     InfoReport,
@@ -70,7 +71,6 @@ from .frontier import (
     depolarizing_instrument,
     frontier_curve,
     twirl_channel,
-    twirl_depolarizing_p,
 )
 
 __version__ = "0.1.0"

@@ -26,9 +26,9 @@ import numpy as np
 
 from . import serialize
 from .config import DESIGN, DISTINCT_NUMBERS, STDERR_FLOOR
-from .disturbance import avg_fidelity_design, avg_fidelity_mc, min_disturbance_uniform
+from .disturbance import avg_fidelity_design, avg_fidelity_mc, min_disturbance_uniform, twirl_depolarizing_p
 from .errors import InfodistError
-from .frontier import depolarize, frontier_curve, twirl_channel, twirl_depolarizing_p
+from .frontier import depolarize, frontier_curve, twirl_channel
 from .galois import design_check, odd_prime_power, wootters_fields_mub
 from .information import info_uniform_mc
 from .linalg import random_density

@@ -57,17 +57,28 @@ def avg_fidelity_uniform(inst: Instrument) -> DisturbanceReport:
     return _report(total / (d * (d + 1)), "exact-pi")
 
 
-def min_disturbance_uniform(povm: POVM) -> DisturbanceReport:
-    """Least Haar-average disturbance over all instruments for a POVM.
+def _root_trace_sum(povm: POVM) -> float:
+    """sum_b (tr sqrt F_b)^2, d^2 times the square-root instrument's F_e at I/d."""
+    return sum(float(np.trace(mat_sqrt(e)).real) ** 2 for e in povm.effects)
 
-    The square-root dynamics attain it; the optimum is
-    F_max = (d + sum_b (tr sqrt(F_b))^2) / (d(d+1)).
-    """
+
+def min_disturbance_uniform(povm: POVM) -> DisturbanceReport:
+    """Least Haar-average disturbance over all instruments for a POVM, attained by the square-root
+    dynamics: F_max = (d + sum_b (tr sqrt(F_b))^2) / (d(d+1))."""
     d = povm.dim
-    total = float(d)
-    for e in povm.effects:
-        total += float(np.trace(mat_sqrt(e)).real) ** 2
-    return _report(total / (d * (d + 1)), "exact-pi")
+    return _report((d + _root_trace_sum(povm)) / (d * (d + 1)), "exact-pi")
+
+
+def twirl_depolarizing_p(povm: POVM) -> float:
+    """Mixing probability of the depolarizing channel obtained by Haar
+    twirling the square-root instrument: p* = (1 - F_e) d^2 / (d^2 - 1)
+    with F_e = sum_b (tr sqrt F_b)^2 / d^2, and D_min = p* (d - 1) / d.
+    InfodistError for d < 2, where every channel is depolarizing."""
+    d = povm.dim
+    if d < 2:
+        raise InfodistError(f"the twirl needs dimension at least 2, got {d}")
+    p = (1.0 - _root_trace_sum(povm) / d**2) * d**2 / (d**2 - 1)
+    return 0.0 if -RECONSTRUCTION <= p < 0.0 else p  # forgive rounding below 0, as for an identity POVM
 
 
 def _branch_overlap_samples(inst: Instrument, states: np.ndarray) -> np.ndarray:
@@ -178,10 +189,7 @@ def entfid_bound_check(povm: POVM, m: np.ndarray) -> tuple[float, float]:
         raise InfodistError("blocks of m do not form a trace-preserving channel")
     roots = [mat_sqrt(e) for e in povm.effects]
     multi = Instrument(povm.dim, tuple(tuple(b @ r for b in blocks) for r in roots))
-    eye_d = np.eye(povm.dim) / povm.dim
-    lhs = entanglement_fidelity(eye_d, multi)
-    rhs = entanglement_fidelity(eye_d, Instrument(povm.dim, tuple((r,) for r in roots)))
-    return lhs, rhs
+    return entanglement_fidelity(np.eye(povm.dim) / povm.dim, multi), _root_trace_sum(povm) / povm.dim**2
 
 
 def one_term_instrument(povm: POVM, unitaries: list[np.ndarray]) -> Instrument:

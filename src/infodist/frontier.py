@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import FRONTIER_CAP, GRID_SLACK, RECONSTRUCTION, TANGENT_REL
+from .config import FRONTIER_CAP, GRID_SLACK, TANGENT_REL
 from .errors import InfodistError
 from .information import family_xlogx, info_finegrained_exact
 from .linalg import dagger, haar_unitaries, mat_sqrt, mean_stderr
@@ -76,19 +76,6 @@ def covariance_check(inst: Instrument, w: np.ndarray, rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     rotated = dagger(w) @ apply_channel(inst, w @ rho @ dagger(w)) @ w
     return float(np.abs(rotated - apply_channel(inst, rho)).max())  # NaN propagates
-
-
-def twirl_depolarizing_p(povm: POVM) -> float:
-    """Mixing probability of the depolarizing channel obtained by Haar
-    twirling the square-root instrument: p* = (1 - F_e) d^2 / (d^2 - 1)
-    with F_e = sum_b (tr sqrt F_b)^2 / d^2. InfodistError for d < 2, where
-    every channel is depolarizing and p* is undefined."""
-    d = povm.dim
-    if d < 2:
-        raise InfodistError(f"the twirl needs dimension at least 2, got {d}")
-    f_e = sum(float(np.trace(mat_sqrt(e)).real) ** 2 for e in povm.effects) / d**2
-    p = (1.0 - f_e) * d**2 / (d**2 - 1)
-    return 0.0 if -RECONSTRUCTION <= p < 0.0 else p  # forgive rounding below 0, as for an identity POVM
 
 
 def twirl_channel(povm: POVM, rho: np.ndarray, n_samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
