@@ -23,7 +23,7 @@ GOLDEN = {
     "mub": "6758aedce72bade9ba41bb71e878a41149054f1b93c8b7965ddb8620716820af",
     "design-check": "6e1a46b33dc21c83a443573b28107d9654f4a37169d2286fab3cf82b02280af1",
     "info-bits": "b6d55dc2853fd38b347105b85ae3c69657466d935e2203b82752af402654b9b8",
-    "disturbance-exact": "65b04cea36c81867ad4af3231687b40d514842e64fd0fec6a2bd245e0d3b6afb",
+    "disturbance-exact": "529b3dbd5d4a2fa9d8a3d6a995add8eb04a79867bd26f7f5742078cf2d57da51",
     "disturbance-mc": "662d02914add1cc6524c7943b351fb7000f97a3e6a6674920ec47e1076fe1b4b",
     "disturbance-design": "42728f3d2da653256cbda68258be5fa0ce43830370bb5e051a93ef3ec9a5bea7",
     "twirl-check": "599c4da7628d65c57c4b323d842a6c368fa9eb271bd0923c381be5b960d76ebe",
