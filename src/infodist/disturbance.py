@@ -4,7 +4,8 @@ The second moment of |psi><psi| over the unitarily invariant distribution is
 available in closed form as an operator on the tensor-square space, which
 turns every ensemble-averaged fidelity of degree two into exact algebra.
 Monte Carlo and 2-design averages of the same quantities are provided as
-cross-checks and for integrands beyond degree two.
+cross-checks and for integrands beyond degree two; both score their states
+as Rayleigh quotients, so Monte Carlo draws are not normalised first.
 """
 
 from __future__ import annotations
@@ -13,17 +14,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ALGEBRAIC, BLOCK_ENTRIES, PSD_SLACK, RECONSTRUCTION
+from .config import ALGEBRAIC, PSD_SLACK, RECONSTRUCTION
 from .errors import InfodistError
-from .linalg import dagger, haar_states, mat_sqrt, mean_stderr, outer, require_square
+from .linalg import dagger, form_scores, gaussian_planes, mat_sqrt, mean_stderr, outer, require_square
 from .measurement import POVM, Instrument, apply_channel, isometry_kraus
 
 
 def pair_moment(a: np.ndarray, b: np.ndarray) -> complex:
-    """Haar average of <psi|A|psi><psi|B|psi>: (tr A tr B + tr AB) / (d(d+1)).
-
-    This is the trace of Pi (A x B) evaluated in closed form.
-    """
+    """Haar average of <psi|A|psi><psi|B|psi>: (tr A tr B + tr AB) / (d(d+1)), the trace of Pi (A x B)."""
     d = require_square(a)
     if b.shape != a.shape:
         raise InfodistError(f"shape mismatch {a.shape} vs {b.shape}")
@@ -51,9 +49,7 @@ def avg_fidelity_uniform(inst: Instrument) -> DisturbanceReport:
     equals d for trace-preserving instruments.
     """
     d = inst.dim
-    total = 0.0
-    for a in inst.kraus_ops():
-        total += abs(np.trace(a)) ** 2 + np.trace(a @ dagger(a)).real
+    total = sum(abs(np.trace(a)) ** 2 + np.trace(a @ dagger(a)).real for a in inst.kraus_ops())
     return _report(total / (d * (d + 1)), "exact-pi")
 
 
@@ -81,28 +77,17 @@ def twirl_depolarizing_p(povm: POVM) -> float:
     return 0.0 if -RECONSTRUCTION <= p < 0.0 else p  # forgive rounding below 0, as for an identity POVM
 
 
-def _branch_overlap_samples(inst: Instrument, states: np.ndarray) -> np.ndarray:
-    """sum_bi |<psi|A_bi|psi>|^2 for each row state in ``states``.
-
-    Evaluated as a Rayleigh quotient (divided by <psi|psi>^2) so rounding in
-    the state normalization cancels; the identity instrument gives exactly 1.
-    """
-    bras = states.conj()
-    vals = np.zeros(states.shape[0])
-    for a in inst.kraus_ops():
-        amp = np.einsum("nd,nd->n", bras, states @ a.T)
-        vals += np.abs(amp) ** 2
-    norm = np.einsum("nd,nd->n", bras, states).real
-    return vals / norm**2
+def _branch_overlaps(inst: Instrument, planes: np.ndarray) -> np.ndarray:
+    """sum_bi |<z|A_bi|z>|^2 / <z|z>^2 for each state z of ``planes``, a Rayleigh quotient of the
+    forms of A_bi, -i A_bi and I (``linalg.form_scores``): the identity instrument gives exactly 1."""
+    kraus = inst.kraus_ops()
+    mats = np.stack([m for a in kraus for m in (a, -1j * a)] + [np.eye(inst.dim)])
+    return form_scores(mats, planes, lambda q: (q[:-1] ** 2).sum(axis=0) / q[-1] ** 2)
 
 
 def avg_fidelity_mc(inst: Instrument, n_samples: int, rng: np.random.Generator) -> DisturbanceReport:
     """Monte Carlo estimate of the Haar-average fidelity with its stderr."""
-    states = haar_states(inst.dim, n_samples, rng)
-    rows = max(1, BLOCK_ENTRIES // inst.dim)
-    vals = np.empty(n_samples)
-    for lo in range(0, n_samples, rows):
-        vals[lo : lo + rows] = _branch_overlap_samples(inst, states[lo : lo + rows])
+    vals = _branch_overlaps(inst, gaussian_planes(inst.dim, n_samples, rng))
     mean, stderr = map(float, mean_stderr(vals))
     return _report(mean, "monte-carlo", stderr, n_samples)
 
@@ -116,15 +101,13 @@ def avg_fidelity_design(inst: Instrument, design: np.ndarray) -> DisturbanceRepo
     design = np.atleast_2d(np.asarray(design, dtype=complex))
     if design.shape[0] == 0:
         raise ValueError("design must be nonempty")
-    vals = _branch_overlap_samples(inst, design)
+    vals = _branch_overlaps(inst, np.stack((design.real, design.imag)))
     return _report(float(vals.mean()), "design", None, design.shape[0])
 
 
 def entanglement_fidelity(rho: np.ndarray, inst: Instrument) -> float:
-    """F_e(rho, A) = sum_bi |tr(A_bi rho)|^2.
-
-    Lower-bounds the average pure-state fidelity of every ensemble for rho.
-    """
+    """F_e(rho, A) = sum_bi |tr(A_bi rho)|^2, a lower bound on the average pure-state fidelity of
+    every ensemble for rho."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (inst.dim, inst.dim):
         raise InfodistError(f"state shape {rho.shape} does not match dim {inst.dim}")
@@ -137,11 +120,8 @@ def superadditivity_margin(p1: np.ndarray, p2: np.ndarray, psi: np.ndarray) -> f
     Nonnegative for positive P1, P2 (equality when they are proportional);
     this is the coarse-graining step that makes square-root dynamics optimal.
     """
-    p1 = np.asarray(p1, dtype=complex)
-    p2 = np.asarray(p2, dtype=complex)
-    w1 = np.linalg.eigvalsh((p1 + dagger(p1)) / 2)
-    w2 = np.linalg.eigvalsh((p2 + dagger(p2)) / 2)
-    if w1[0] < -PSD_SLACK or w2[0] < -PSD_SLACK:
+    p1, p2 = np.asarray(p1, dtype=complex), np.asarray(p2, dtype=complex)
+    if any(np.linalg.eigvalsh((p + dagger(p)) / 2)[0] < -PSD_SLACK for p in (p1, p2)):
         raise InfodistError("both operators must be positive semidefinite")
     root = mat_sqrt(p1 @ p1 + p2 @ p2)
     rhs = float(np.vdot(psi, root @ psi).real) ** 2
@@ -161,9 +141,7 @@ def restore_counterexample(d: int, psi: np.ndarray) -> tuple[np.ndarray, Instrum
         raise ValueError("need dimension at least 2 for an orthogonal state")
     # deterministic orthogonal companion: least-aligned standard basis vector
     k = int(np.argmin(np.abs(psi)))
-    phi = np.zeros(d, dtype=complex)
-    phi[k] = 1.0
-    phi = phi - psi * np.vdot(psi, phi)
+    phi = np.eye(d, dtype=complex)[k] - psi * psi[k].conj()  # e_k - psi <psi|e_k>
     phi = phi / np.linalg.norm(phi)
     g = outer(phi)
     u = np.eye(d, dtype=complex) - outer(phi) - outer(psi) + np.outer(psi, phi.conj()) + np.outer(phi, psi.conj())
@@ -197,7 +175,5 @@ def one_term_instrument(povm: POVM, unitaries: list[np.ndarray]) -> Instrument:
     compatible with a POVM."""
     if len(unitaries) != len(povm.effects):
         raise InfodistError("need one unitary per outcome")
-    return Instrument(
-        povm.dim,
-        tuple((np.asarray(u, dtype=complex) @ mat_sqrt(e),) for u, e in zip(unitaries, povm.effects)),
-    )
+    branches = tuple((np.asarray(u, dtype=complex) @ mat_sqrt(e),) for u, e in zip(unitaries, povm.effects))
+    return Instrument(povm.dim, branches)

@@ -59,13 +59,8 @@ def depolarizing_instrument(d: int, p: float) -> Instrument:
     sqrt(1-p) I together with sqrt(p/d) |i><j| for all i, j."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing probability must lie in [0, 1], got {p!r}")
-    ops = [np.sqrt(1.0 - p) * np.eye(d, dtype=complex)]
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = np.sqrt(p / d)
-            ops.append(e)
-    return Instrument(d, (tuple(ops),))
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # |i><j|, i then j
+    return Instrument(d, ((np.sqrt(1.0 - p) * np.eye(d, dtype=complex), *(np.sqrt(p / d) * units)),))
 
 
 def covariance_check(inst: Instrument, w: np.ndarray, rho: np.ndarray) -> float:

@@ -6,7 +6,8 @@ log d - sum_{k=1}^{d-1} 1/(1+k), independent of the weights. For any effect
 M the Haar average of q ln q, q = <psi|M|psi>, depends on the spectrum of M
 alone and is computed by ``haar_xlogx``, and with its first two derivatives on
 the frontier's seed family by ``family_xlogx``: both run one trapezoid rule.
-``info_uniform_mc`` samples instead. Discrete ensembles are evaluated exactly.
+``info_uniform_mc`` samples instead, scoring each unnormalised Gaussian draw z
+by p(b|z) = <z|F_b|z> / <z|z>. Discrete ensembles are evaluated exactly.
 All internal logs are natural; reports can be rescaled to bits for display.
 """
 
@@ -17,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import BLOCK_ENTRIES
-from .linalg import haar_states, mean_stderr, validate_distribution
+from .linalg import form_scores, gaussian_planes, mean_stderr, validate_distribution
 from .measurement import POVM
 
 LN2 = float(np.log(2.0))
@@ -108,21 +109,22 @@ def family_xlogx(d: int, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _subentropy_rule(d, d, np.expm1(log_r) * _T), _subentropy_rule(d, 0, tr * l1), _subentropy_rule(d, 0, d2r)
 
 
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy (nats) of each row, with 0 log 0 = 0; a NaN entry makes its row NaN."""
-    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
+def _entropies(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy (nats) along the first axis, with 0 log 0 = 0; a NaN entry makes it NaN."""
+    logs = np.where(p > 0, p, 1.0)
+    np.log(logs, out=logs)
+    logs *= p
+    return -logs.sum(axis=0)
 
 
-def _outcome_probabilities(povm: POVM, states: np.ndarray) -> np.ndarray:
-    """p(b|psi) = <psi|F_b|psi> for each state row; shape (n, outcomes).
-
-    Rows are renormalized to sum to one (they do exactly, by completeness),
-    which removes rounding noise; a single-effect POVM is exactly noiseless.
-    """
-    bras = states.conj()
-    cols = [np.einsum("nd,nd->n", bras, states @ e.T).real for e in povm.effects]
-    p = np.clip(np.stack(cols, axis=1), 0.0, None)
-    return p / np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+def _probabilities(q: np.ndarray) -> np.ndarray:
+    """p(b|z), written over the forms q[b] = z†F_b z of one state per column: clipped at 0 and divided by
+    their sum (z†z, by completeness), so the state need not be normalised and rounding cancels;
+    a single-effect POVM is exactly noiseless, and a zero state's column stays 0."""
+    p = np.clip(q, 0.0, None, out=q)
+    s = p.sum(axis=0)
+    p /= np.where(s > 0, s, 1.0)
+    return p
 
 
 def info_uniform_mc(povm: POVM, n_samples: int, rng: np.random.Generator) -> InfoReport:
@@ -131,24 +133,21 @@ def info_uniform_mc(povm: POVM, n_samples: int, rng: np.random.Generator) -> Inf
     H(B) is exact (outcome probabilities are tr F_b / d for the uniform
     ensemble); only the conditional term H(B|Psi) carries sampling noise,
     so the reported stderr applies to both it and the mutual information.
+    Each Gaussian draw z is scored as it is: p(b|z) = <z|F_b|z> / <z|z>.
     """
     d = povm.dim
-    p_b = np.asarray([np.trace(e).real / d for e in povm.effects])
-    h_b = float(_entropy_rows(p_b[None, :])[0])
-    states = haar_states(d, n_samples, rng)
-    rows = max(1, BLOCK_ENTRIES // d)
-    cond = np.empty(n_samples)
-    for lo in range(0, n_samples, rows):
-        cond[lo : lo + rows] = _entropy_rows(_outcome_probabilities(povm, states[lo : lo + rows]))
+    h_b = float(_entropies(np.asarray([np.trace(e).real / d for e in povm.effects])))
+    draws = gaussian_planes(d, n_samples, rng)
+    cond = form_scores(np.asarray(povm.effects), draws, lambda q: _entropies(_probabilities(q)))
     h_cond, stderr = map(float, mean_stderr(cond))
     return InfoReport(h_b - h_cond, h_b, h_cond, "monte-carlo", stderr, n_samples)
 
 
 def info_finite_ensemble(povm: POVM, ensemble: list[tuple[np.ndarray, float]]) -> InfoReport:
-    """Exact mutual information for a discrete pure-state ensemble."""
+    """Exact mutual information for a discrete pure-state ensemble; a state's scale does not matter."""
     weights = validate_distribution([w for _, w in ensemble])
     states = np.stack([np.asarray(psi, dtype=complex) for psi, _ in ensemble])
-    cond = _outcome_probabilities(povm, states)
-    h_b = float(_entropy_rows(weights @ cond))
-    h_cond = float(weights @ _entropy_rows(cond))
+    cond = form_scores(np.asarray(povm.effects), np.stack((states.real, states.imag)), _probabilities)
+    h_b = float(_entropies(cond @ weights))
+    h_cond = float(weights @ _entropies(cond))
     return InfoReport(h_b - h_cond, h_b, h_cond, "finite-ensemble")

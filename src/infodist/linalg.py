@@ -3,8 +3,10 @@
 Hermitian eigendecomposition with a fixed phase convention, operator square
 roots with support truncation, Haar sampling and the standard error of a
 sample mean. Haar unitaries and random isometries share one Ginibre-QR
-kernel: Gram-Schmidt, run twice, on a batch-last (m, d, n) stack.
-Everything works on plain complex numpy arrays and takes an explicit
+kernel: Gram-Schmidt, run twice, on a batch-last (m, d, n) stack. Monte
+Carlo states are scored straight from their Gaussian draws by one kernel,
+``form_scores``: every quadratic form z†Mz of a block of states in one real
+matrix product, with no state normalised. Everything takes an explicit
 ``numpy.random.Generator`` where randomness is involved, so results are
 reproducible bit for bit from a seed.
 """
@@ -84,18 +86,48 @@ def gen_inv_sqrt(p: np.ndarray) -> np.ndarray:
     return (v * inv) @ dagger(v)
 
 
+def gaussian_planes(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(x, y), shape (2, n, d), of n standard complex Gaussian z = x + iy in C^d, all real parts
+    drawn first; each z/|z| is a Haar-random state. The one draw of the Monte Carlo states."""
+    return rng.standard_normal((2, n, d))
+
+
 def haar_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` independent Haar-random pure states, shape (n, d): all real
-    parts are drawn, then all imaginary parts, and each row is normalised
-    in place, one row block at a time."""
+    """``n`` independent Haar-random pure states, shape (n, d): the ``gaussian_planes`` draw, each
+    row normalised in place, one row block at a time."""
     z = np.empty((n, d), complex)
-    z.real = rng.standard_normal((n, d))
-    z.imag = rng.standard_normal((n, d))
+    z.real, z.imag = gaussian_planes(d, n, rng)
     rows = max(1, BLOCK_ENTRIES // max(1, d))
     for lo in range(0, n, rows):
         block = z[lo : lo + rows]
         block /= np.linalg.norm(block, axis=1, keepdims=True)
     return z
+
+
+def form_scores(mats: np.ndarray, planes: np.ndarray, score) -> np.ndarray:
+    """``score`` of the forms q[b, s] = Re z_s† M_b z_s of the (k, d, d) ``mats`` on the unnormalised
+    states z_s = x_s + i y_s of ``planes`` = (x, y), shape (2, n, d), BLOCK_ENTRIES // d^2 states at a
+    time: ``score`` maps a block's (k, m) forms, which it may overwrite, to an (..., m) array.
+    With H = (M + M†)/2, Re z†Mz = z†Hz = sum_ij (Re H + Im H)_ij Q_ij on the d^2 real coordinates
+    Q_ij = Re(z̄_i z_j) - Im(z̄_i z_j) = u_i x_j + v_i y_j of zz† (u = x + y, v = y - x), batch-last,
+    so a block's forms are one real (k, d^2) x (d^2, m) product. Im z†Mz is Re z†(-iM)z."""
+    h = (mats + mats.conj().transpose(0, 2, 1)) / 2
+    k, n, d = len(h), planes.shape[1], planes.shape[2]
+    w, rows = (h.real + h.imag).reshape(k, d * d), max(1, BLOCK_ENTRIES // d**2)
+    # work arrays shared by the blocks: temporaries this size made per block are fresh pages each time
+    xy_buf, uv_buf, q_buf, f_buf = (np.empty(size * rows) for size in (2 * d, 2 * d, d * d, k))
+    scores = None
+    for lo in range(0, max(1, n), rows):  # one empty block for no states
+        m = min(rows, n - lo)
+        xy, uv = xy_buf[: 2 * d * m].reshape(2, d, m), uv_buf[: 2 * d * m].reshape(2, d, m)
+        np.copyto(xy, planes[:, lo : lo + m].transpose(0, 2, 1))
+        np.add(xy[0], xy[1], out=uv[0])
+        np.subtract(xy[1], xy[0], out=uv[1])
+        q = np.einsum("sim,sjm->ijm", uv, xy, out=q_buf[: d * d * m].reshape(d, d, m))
+        block = score(np.matmul(w, q.reshape(d * d, m), out=f_buf[: k * m].reshape(k, m)))
+        scores = np.empty((*block.shape[:-1], n)) if scores is None else scores
+        scores[..., lo : lo + m] = block
+    return scores
 
 
 def _orthonormal_columns(z: np.ndarray) -> np.ndarray:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import infodist as qd
-from infodist import disturbance
 from infodist.config import BLOCK_ENTRIES
 from conftest import induced_effects
 
@@ -99,17 +98,32 @@ def test_avg_fidelity_mc_identity_and_basis():
     assert abs(rep.avg_fidelity - 2.0 / 3.0) < 5 * rep.stderr
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_avg_fidelity_mc_bit_identical_to_one_shot_scoring(d):
-    # every state scored at once, as before the row blocks: below one block, and over three and a ragged part
-    inst = qd.sqrt_instrument(qd.random_povm(d, d + 1, np.random.default_rng(d)))
-    rows = BLOCK_ENTRIES // d
-    for n in (rows - 1, 3 * rows + 5):
-        report = qd.avg_fidelity_mc(inst, n, np.random.default_rng(n))
-        states = qd.haar_states(d, n, np.random.default_rng(n))
-        mean, stderr = qd.mean_stderr(disturbance._branch_overlap_samples(inst, states))
-        got = np.array([report.avg_fidelity, report.stderr])
-        assert np.array_equal(got.view(np.int64), np.array([mean, stderr]).view(np.int64)), n
+def _normalised_state_overlaps(inst, states):
+    """sum_bi |<psi|A_bi|psi>|^2 / <psi|psi>^2 per row of normalised states, one einsum per Kraus
+    operator: the scoring the raw-draw kernel replaced, kept as its oracle."""
+    bras = states.conj()
+    vals = np.zeros(len(states))
+    for a in inst.kraus_ops():
+        vals += np.abs(np.einsum("nd,nd->n", bras, states @ a.T)) ** 2
+    return vals / np.einsum("nd,nd->n", bras, states).real ** 2
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_avg_fidelity_mc_matches_normalised_state_scoring(d):
+    # the same draws as haar_states, scored unnormalised: below one block, and over three and a ragged
+    # part; the square-root instrument's Kraus operators are Hermitian, the one-term ones are not
+    rows = BLOCK_ENTRIES // d**2
+    for k in sorted({2, 3, d + 1}):
+        rng = np.random.default_rng(10 * d + k)
+        povm = qd.random_povm(d, k, rng)
+        for inst in (qd.sqrt_instrument(povm), qd.one_term_instrument(povm, qd.haar_unitaries(d, k, rng))):
+            for n in (rows - 1, 3 * rows + 5):
+                rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
+                report = qd.avg_fidelity_mc(inst, n, rng)
+                mean, stderr = qd.mean_stderr(_normalised_state_overlaps(inst, qd.haar_states(d, n, oracle_rng)))
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state, (k, n)
+                np.testing.assert_allclose([report.avg_fidelity, report.stderr], [mean, stderr], rtol=1e-14, atol=0,
+                                           err_msg=f"{k} {n}")  # fmt: skip
 
 
 def test_avg_fidelity_mc_memory_is_the_states_and_one_draw():

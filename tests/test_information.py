@@ -84,18 +84,28 @@ def test_info_uniform_mc_random_finegrained_povms():
         assert abs(report.mutual_info - qd.info_finegrained_exact(d)) < 5 * report.stderr
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_info_uniform_mc_bit_identical_to_one_shot_scoring(d):
-    # every state scored at once, as before the row blocks: below one block, and over three and a ragged part
-    povm = qd.random_povm(d, d + 1, np.random.default_rng(d))
-    rows = BLOCK_ENTRIES // d
-    for n in (rows - 1, 3 * rows + 5):
-        report = qd.info_uniform_mc(povm, n, np.random.default_rng(n))
-        states = qd.haar_states(d, n, np.random.default_rng(n))
-        mean, stderr = qd.mean_stderr(information._entropy_rows(information._outcome_probabilities(povm, states)))
-        got = np.array([report.h_b_given_psi, report.stderr, report.mutual_info])
-        expected = np.array([mean, stderr, report.h_b - mean])
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n
+def _normalised_state_entropies(povm, states):
+    """H(B|psi) per row of normalised states, one einsum per effect: the scoring the raw-draw kernel
+    replaced, kept as its oracle."""
+    bras = states.conj()
+    p = np.clip(np.stack([np.einsum("nd,nd->n", bras, states @ e.T).real for e in povm.effects], axis=1), 0.0, None)
+    p = p / p.sum(axis=1, keepdims=True)
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_info_uniform_mc_matches_normalised_state_scoring(d):
+    # the same draws as haar_states, scored unnormalised: below one block, and over three and a ragged part
+    rows = BLOCK_ENTRIES // d**2
+    for k in sorted({2, 3, d + 1}):
+        povm = qd.random_povm(d, k, np.random.default_rng(10 * d + k))
+        for n in (rows - 1, 3 * rows + 5):
+            rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
+            report = qd.info_uniform_mc(povm, n, rng)
+            mean, stderr = qd.mean_stderr(_normalised_state_entropies(povm, qd.haar_states(d, n, oracle_rng)))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state, (k, n)
+            got = [report.h_b_given_psi, report.stderr, report.mutual_info]
+            np.testing.assert_allclose(got, [mean, stderr, report.h_b - mean], rtol=1e-14, atol=0, err_msg=f"{k} {n}")
 
 
 def test_info_uniform_mc_memory_is_the_states_and_one_draw():
@@ -180,6 +190,27 @@ def test_info_coarse_graining_monotone():
     grouped = qd.coarse_grain(povm, [[0, 2], [1, 3]])
     coarse = qd.info_finite_ensemble(grouped, ensemble).mutual_info
     assert coarse <= fine + 1e-12
+
+
+def test_info_finite_ensemble_ignores_the_scale_of_a_state():
+    # p(b|psi) is <psi|F_b|psi> over the row's sum; a row-sum floor of 1e-300 once broke this for a
+    # state of norm 1e-152 (norm squared 1e-304)
+    rng = np.random.default_rng(71)
+    povm = qd.random_povm(3, 4, rng)
+    states = list(qd.haar_states(3, 5, rng))
+    weights = [0.1, 0.2, 0.3, 0.15, 0.25]
+    base = qd.info_finite_ensemble(povm, list(zip(states, weights)))
+    for scale in (3.7, 1e-152):
+        scaled = qd.info_finite_ensemble(povm, list(zip([scale * states[0], *states[1:]], weights)))
+        np.testing.assert_allclose(scaled[:3], base[:3], rtol=1e-14, atol=0, err_msg=str(scale))
+
+
+def test_zero_state_has_zero_outcome_probabilities():
+    # the row sum of a zero state is 0: its probabilities stay 0 instead of 0/0
+    probs = information._probabilities(np.zeros((3, 2)))
+    assert np.array_equal(probs, np.zeros((3, 2)))
+    report = qd.info_finite_ensemble(qd.basis_povm(2), [(np.zeros(2), 0.5), (np.array([1.0, 0.0]), 0.5)])
+    assert report.h_b_given_psi == 0.0 and report.mutual_info == report.h_b == -0.5 * np.log(0.5)
 
 
 def test_mutual_info_nan_row_is_nan():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import infodist as qd
-from infodist import serialize
+from infodist import linalg, serialize
 from infodist.cli import main
 from infodist.config import BLOCK_ENTRIES
 
@@ -163,6 +163,27 @@ def test_haar_states_bit_identical_to_the_one_shot_draw(d):
         expected = z / np.linalg.norm(z, axis=1, keepdims=True)
         got = qd.haar_states(d, n, np.random.default_rng(n))
         assert got.shape == (n, d) and np.array_equal(got.view(np.int64), expected.view(np.int64)), n
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_form_scores_are_the_quadratic_forms_of_the_draws(d):
+    # Re z†Mz of general complex M, and Im z†Mz as the real part for -iM, over three blocks and a ragged
+    # part of unnormalised draws; each form is a sum of d^2 terms of size |z|^2 |M|
+    rng = np.random.default_rng(80 + d)
+    mats = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    n = 3 * (BLOCK_ENTRIES // d**2) + 7
+    planes = linalg.gaussian_planes(d, n, rng)
+    z = planes[0] + 1j * planes[1]
+    forms = linalg.form_scores(np.concatenate([mats, -1j * mats]), planes, lambda q: q)
+    exact = np.einsum("nd,kde,ne->kn", z.conj(), mats, z)
+    bound = 1e-15 * d**2 * np.abs(mats).max() * np.einsum("nd,nd->n", z.conj(), z).real
+    assert forms.shape == (6, n)
+    assert np.all(np.abs(forms - np.concatenate([exact.real, exact.imag])) <= bound)
+
+
+def test_form_scores_of_no_states():
+    planes = np.empty((2, 0, 3))
+    assert linalg.form_scores(np.eye(3)[None], planes, lambda q: q).shape == (1, 0)
 
 
 def test_haar_state_second_moment():
