@@ -22,10 +22,10 @@ from infodist.cli import build_parser, main
 GOLDEN = {
     "mub": "6758aedce72bade9ba41bb71e878a41149054f1b93c8b7965ddb8620716820af",
     "design-check": "6e1a46b33dc21c83a443573b28107d9654f4a37169d2286fab3cf82b02280af1",
-    "info-bits": "b6d55dc2853fd38b347105b85ae3c69657466d935e2203b82752af402654b9b8",
+    "info-bits": "8230144c6df08604586d59da46a19a2ba34c26ec7973174348e95b96096424c7",
     "disturbance-exact": "529b3dbd5d4a2fa9d8a3d6a995add8eb04a79867bd26f7f5742078cf2d57da51",
-    "disturbance-mc": "662d02914add1cc6524c7943b351fb7000f97a3e6a6674920ec47e1076fe1b4b",
-    "disturbance-design": "42728f3d2da653256cbda68258be5fa0ce43830370bb5e051a93ef3ec9a5bea7",
+    "disturbance-mc": "15c599a8265e4b56bb32bd0f33b51e4aa3baaea0f36a00558006f5684fb741fa",
+    "disturbance-design": "3f2b76beecfb72af032fd40f65883ad5d1c859c46d79cdd23d40a1ada2ef6bd9",
     "twirl-check": "599c4da7628d65c57c4b323d842a6c368fa9eb271bd0923c381be5b960d76ebe",
     "frontier-csv": "ebc051f41d94ccb0842543ca258a54d025ed49ae1f8d04f9d30780920ed6c270",
     "frontier-json": "ea3f77c1e1d3ab80f2d17b0f1ea399c7086cecf3987b8b137a46a81d8934c48c",
