@@ -9,9 +9,9 @@ that names no subcommand (an option, a typo, none) gets the full parser.
 All randomness is seeded (flag --seed, default 0; never the clock), so
 identical invocations produce byte-identical outputs.
 
-Exit codes: 0 success, 1 validation failure (``InfodistError``), 2 usage
-error (``UsageError``). Commands return nothing and fail by raising one of
-the two; only ``main`` maps an outcome to an exit code.
+Exit codes: 0 success, 1 validation failure (``InfodistError``) or a failed
+allocation (``MemoryError``), 2 usage error (``UsageError``). Commands fail
+by raising; only ``main`` maps an outcome to an exit code.
 """
 
 from __future__ import annotations
@@ -176,9 +176,7 @@ def cmd_disturbance(args) -> None:
     else:
         pp = odd_prime_power(povm.dim)
         if pp is None:
-            raise InfodistError(
-                f"no unbiased-bases design available in dimension {povm.dim}; use --method exact or mc"
-            )
+            raise InfodistError(f"no unbiased-bases design available in dimension {povm.dim}; use --method exact or mc")
         design = wootters_fields_mub(*pp).vectors()
         report = avg_fidelity_design(sqrt_instrument(povm), design)
     _emit(serialize.iterdumps(serialize.report_to_json(report)), args.out)
@@ -339,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InfodistError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size that cannot be allocated, e.g. --samples 10**15
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     return 0
 

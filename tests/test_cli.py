@@ -83,6 +83,15 @@ def test_mub_refuses_oversize_input_at_once(argv, message, capsys, monkeypatch):
     assert message in err and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["info"], ["disturbance", "--method", "mc"], ["twirl-check"]])
+def test_sample_count_beyond_memory_one_line_message(argv, qubit_basis_file, capsys):
+    # 10**15 samples ask for petabytes, which the allocation refuses before it touches any memory; it
+    # ended in a MemoryError traceback
+    assert main([*argv, "--povm", qubit_basis_file, "--samples", "1000000000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_design_check_pass_and_fail(tmp_path, capsys):
     mub = tmp_path / "mub5.json"
     assert main(["mub", "--p", "5", "--out", str(mub)]) == 0
