@@ -105,3 +105,16 @@ def test_no_module_imports_dataclasses():
                 names = [node.module or ""]
             imports += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] == "dataclasses"]
     assert imports == []
+
+
+def test_no_small_float_literal_outside_config():
+    """Thresholds are named and documented in ``config``: no other module's code holds a nonzero
+    float literal below 1e-6 (a bare 1e-300 row-sum floor once sat in ``information``)."""
+    literals = []
+    for path in sorted((ROOT / "src" / "infodist").glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and type(node.value) is float and 0 < abs(node.value) < 1e-6:
+                literals.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert literals == []
