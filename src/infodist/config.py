@@ -33,14 +33,15 @@ FRONTIER_CAP   : largest dimension d of ``frontier_curve``; the arc's
                  concavity, on which its solve rests, is tested up to
                  d = 49 (the solve's memory does not grow with d, but its
                  scan starts at y = 1e-3, which y* ~ 0.56/d nears at d ~ 560)
-BLOCK_ENTRIES  : entries per block (256 kB of floats): ``haar_states``
-                 normalises BLOCK_ENTRIES // d states at once, ``form_scores``
+BLOCK_ENTRIES  : entries per block (256 kB of floats): ``form_scores``
                  scores BLOCK_ENTRIES // d^2 states (d^2 coordinates each)
-                 and ``family_xlogx`` its y values (145 nodes each); only
-                 those temporaries are flat in the count, not the n draws and
-                 n scores kept (``info_uniform_mc`` peaks at 5.4 MB at d = 2,
-                 n = 1e5; 41 MB at 1e6). ``twirl_channel`` is not blocked
-                 (5.8 MB at d = 3, n = 1e4; 58 MB at 1e5)
+                 and ``family_xlogx`` its y values (145 nodes each) at once;
+                 only those temporaries are flat in the count, not the n
+                 draws and n scores kept (``info_uniform_mc`` peaks at 5.4 MB
+                 at d = 2, n = 1e5; 41 MB at 1e6). ``haar_states``, which
+                 the Monte Carlo estimators no longer call, and
+                 ``twirl_channel`` are not blocked (the twirl: 5.8 MB at
+                 d = 3, n = 1e4; 58 MB at 1e5)
 DISTINCT_NUMBERS : distinct number texts the JSON reader parses once each
                  and shares; the d = 49 ``mub`` file holds 14 among its
                  240,100 numbers, and no ``mub`` file more than 91 (d = 47).

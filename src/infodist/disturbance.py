@@ -21,7 +21,10 @@ from .measurement import POVM, Instrument, apply_channel, isometry_kraus
 
 
 def pair_moment(a: np.ndarray, b: np.ndarray) -> complex:
-    """Haar average of <psi|A|psi><psi|B|psi>: (tr A tr B + tr AB) / (d(d+1)), the trace of Pi (A x B)."""
+    """Haar average of <psi|A|psi><psi|B|psi>: (tr A tr B + tr AB) / (d(d+1)).
+
+    This is the trace of Pi (A x B) evaluated in closed form.
+    """
     d = require_square(a)
     if b.shape != a.shape:
         raise InfodistError(f"shape mismatch {a.shape} vs {b.shape}")

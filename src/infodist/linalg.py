@@ -93,14 +93,11 @@ def gaussian_planes(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` independent Haar-random pure states, shape (n, d): the ``gaussian_planes`` draw, each
-    row normalised in place, one row block at a time."""
+    """``n`` independent Haar-random pure states, shape (n, d): the ``gaussian_planes`` draw with
+    each row normalised."""
     z = np.empty((n, d), complex)
     z.real, z.imag = gaussian_planes(d, n, rng)
-    rows = max(1, BLOCK_ENTRIES // max(1, d))
-    for lo in range(0, n, rows):
-        block = z[lo : lo + rows]
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z
 
 

@@ -207,8 +207,6 @@ def test_info_finite_ensemble_ignores_the_scale_of_a_state():
 
 def test_zero_state_has_zero_outcome_probabilities():
     # the row sum of a zero state is 0: its probabilities stay 0 instead of 0/0
-    probs = information._probabilities(np.zeros((3, 2)))
-    assert np.array_equal(probs, np.zeros((3, 2)))
     report = qd.info_finite_ensemble(qd.basis_povm(2), [(np.zeros(2), 0.5), (np.array([1.0, 0.0]), 0.5)])
     assert report.h_b_given_psi == 0.0 and report.mutual_info == report.h_b == -0.5 * np.log(0.5)
 

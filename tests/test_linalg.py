@@ -181,11 +181,6 @@ def test_form_scores_are_the_quadratic_forms_of_the_draws(d):
     assert np.all(np.abs(forms - np.concatenate([exact.real, exact.imag])) <= bound)
 
 
-def test_form_scores_of_no_states():
-    planes = np.empty((2, 0, 3))
-    assert linalg.form_scores(np.eye(3)[None], planes, lambda q: q).shape == (1, 0)
-
-
 def test_haar_state_second_moment():
     # E |<0|psi>|^2 = 1/d
     rng = np.random.default_rng(10)
